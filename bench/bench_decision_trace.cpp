@@ -3,14 +3,15 @@
 // Claims under test (counted in allocations and record-materialisations,
 // never wall clock, so results are machine-independent and diffable):
 //  - Disabled (the default), record() costs ZERO heap allocations and
-//    never invokes the caller's object-description lambda; the bench
-//    exits non-zero if a single allocation is observed.
+//    never invokes the caller's object-label callback; the bench exits
+//    non-zero if a single allocation is observed.
 //  - Disabled, the per-point allow/deny counters are still exact: an
 //    end-to-end leakage audit produces bit-identical counters with the
 //    trace on and off.
 //  - Enabled, the steady-state cost is bounded: the ring never grows
-//    after reaching capacity, and per-decision allocations come only
-//    from materialising the object description.
+//    after reaching capacity, and the label callback appends into a
+//    reusable buffer, so the only allocations are the ring's bring-up
+//    after clear(), not one per decision.
 //
 // Always writes BENCH_E21.json (override with --json=PATH); --smoke runs
 // reduced sizes for CI.
@@ -59,7 +60,7 @@ struct ModeProbe {
   bool enabled = false;
   std::uint64_t decisions = 0;
   std::uint64_t allocations = 0;
-  std::uint64_t objects_built = 0;  ///< description lambdas invoked
+  std::uint64_t objects_built = 0;  ///< label callbacks invoked
   std::uint64_t retained = 0;       ///< records resident in the ring
   std::uint64_t counted_total = 0;  ///< counter total (must == decisions)
 };
@@ -75,12 +76,13 @@ ModeProbe trace_mode_probe(bool enabled, std::uint64_t decisions) {
                  i % 3 == 0 ? obs::Outcome::deny : obs::Outcome::allow,
                  Uid{1000}, Gid{1000}, Uid{1001},
                  obs::ChannelKind::tcp_cross_user,
-                 i % 3 == 0 ? obs::knob::ubf : nullptr, [&] {
+                 i % 3 == 0 ? obs::knob::ubf : nullptr,
+                 [&](std::string& out) {
                    ++built;
-                   // Long enough to defeat SSO: the enabled-mode cost is
-                   // the honest cost of materialising a description.
-                   return "host 12 port 23456 proto tcp attempt " +
-                          std::to_string(i);
+                   // Long enough to defeat SSO: a per-decision string
+                   // would show up here as one allocation per record.
+                   out += "host 12 port 23456 proto tcp attempt ";
+                   obs::append_uint(out, i);
                  });
   };
 
@@ -107,8 +109,8 @@ void mode_overhead_section(bool smoke) {
   print_banner(
       "E21a: per-decision record() cost, disabled vs enabled",
       "Disabled is the shipped default: zero allocations, zero object "
-      "descriptions built, counters still exact. Enabled pays only for "
-      "materialising records into a fixed-capacity ring.");
+      "labels built, counters still exact. Enabled appends labels into "
+      "a fixed-capacity ring and allocates only while bringing it up.");
 
   const std::uint64_t decisions = smoke ? 50000 : 1000000;
   Table table({"mode", "decisions", "allocations", "allocs/decision",

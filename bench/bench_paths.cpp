@@ -177,8 +177,7 @@ void run(bool smoke) {
   std::vector<std::string> cut;
   for (int rep = 0; rep < reps; ++rep) {
     const auto t0 = std::chrono::steady_clock::now();
-    cut = analyzer.minimal_cut(baseline_members, baseline_escalation,
-                               baseline_graph);
+    cut = analyzer.minimal_cut(baseline_members, baseline_escalation);
     const auto t1 = std::chrono::steady_clock::now();
     const double ms = elapsed_ms(t0, t1);
     if (rep == 0 || ms < cut_ms) cut_ms = ms;

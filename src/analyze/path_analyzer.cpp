@@ -96,8 +96,7 @@ PathReport PathAnalyzer::analyze(
     (p.has_open_hop ? report.escalation : report.residual)
         .push_back(std::move(p));
   }
-  report.minimal_cut =
-      minimal_cut(clusters, report.escalation, report.graph);
+  report.minimal_cut = minimal_cut(clusters, report.escalation);
   return report;
 }
 
@@ -109,8 +108,7 @@ std::size_t PathAnalyzer::escalation_count(
 
 std::vector<std::string> PathAnalyzer::minimal_cut(
     std::span<const ClusterSpec> clusters,
-    const std::vector<AttackPath>& escalation,
-    const ChannelGraph& graph) const {
+    const std::vector<AttackPath>& escalation) const {
   if (escalation.empty()) return {};
 
   // Candidates: the whole registry, not just the per-edge responsible

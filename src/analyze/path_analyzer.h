@@ -98,8 +98,7 @@ class PathAnalyzer {
   /// <= 3, greedy set-cover with redundancy pruning above that.
   [[nodiscard]] std::vector<std::string> minimal_cut(
       std::span<const ClusterSpec> clusters,
-      const std::vector<AttackPath>& escalation,
-      const ChannelGraph& graph) const;
+      const std::vector<AttackPath>& escalation) const;
 
   /// Escalation-path count over the whole lattice (homogeneous
   /// 2-cluster instantiation per point), memoized on the presence

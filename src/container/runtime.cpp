@@ -109,9 +109,12 @@ Result<ContainerId> Runtime::exec(const simos::Credentials& cred,
     trace_->record(obs::DecisionPoint::container_entry,
                    allowed ? obs::Outcome::allow : obs::Outcome::deny,
                    cred.uid, cred.egid, kRootUid, std::nullopt, nullptr,
-                   [&] {
-                     return image != nullptr ? image->name()
-                                             : std::string{"<no image>"};
+                   [&](std::string& out) {
+                     if (image != nullptr) {
+                       out += image->name();
+                     } else {
+                       out += "<no image>";
+                     }
                    });
   }
   if (!allowed) return Errno::eperm;

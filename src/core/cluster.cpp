@@ -227,7 +227,10 @@ void Cluster::wire_prolog_epilog() {
             ctx.user, Gid{}, dev.residue_owner().value_or(Uid{}),
             obs::ChannelKind::gpu_residue,
             policy_.gpu_epilog_scrub ? obs::knob::gpu_epilog_scrub : nullptr,
-            [&] { return Node::gpu_dev_path(g.value()) + " residue"; });
+            [&](std::string& out) {
+              out += Node::gpu_dev_path(g.value());
+              out += " residue";
+            });
       }
       if (policy_.gpu_epilog_scrub) {
         clock_.advance(dev.scrub());

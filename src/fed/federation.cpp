@@ -49,7 +49,7 @@ void Federation::record_deny(ClusterIdx at, const OpContext& ctx,
   members_.at(at).cluster->trace().record(
       obs::DecisionPoint::fed_admission, obs::Outcome::deny, ctx.subject,
       ctx.subject_gid, ctx.object_owner, ctx.channel, knob,
-      [&] { return ctx.object; });
+      [&](std::string& out) { out += ctx.object; });
 }
 
 const lifecycle::Transition* Federation::fire_breaker(ClusterIdx local,

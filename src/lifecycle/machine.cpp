@@ -2,8 +2,8 @@
 
 namespace heus::lifecycle {
 
-std::string describe(const MachineDef& def, const Transition& t) {
-  std::string out = def.name;
+void describe(const MachineDef& def, const Transition& t, std::string& out) {
+  out += def.name;
   out += ": ";
   out += def.state_name(t.from);
   out += " --";
@@ -21,6 +21,11 @@ std::string describe(const MachineDef& def, const Transition& t) {
     out += " / ";
     out += def.action_name(t.action);
   }
+}
+
+std::string describe(const MachineDef& def, const Transition& t) {
+  std::string out;
+  describe(def, t, out);
   return out;
 }
 

@@ -160,7 +160,9 @@ template <typename GuardFn>
   return nullptr;
 }
 
-/// "state --event[guard]--> state" label for traces and reports.
+/// "state --event[guard]--> state" label for traces and reports,
+/// appended to `out`.
+void describe(const MachineDef& def, const Transition& t, std::string& out);
 [[nodiscard]] std::string describe(const MachineDef& def,
                                    const Transition& t);
 
@@ -209,7 +211,7 @@ class Driver {
                          : std::nullopt,
                      t->guard != kNoGuard ? def_->guards[t->guard].knob
                                           : nullptr,
-                     [&] { return describe(*def_, *t); });
+                     [&](std::string& out) { describe(*def_, *t, out); });
     }
     return t;
   }

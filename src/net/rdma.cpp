@@ -8,6 +8,12 @@ Result<QpId> RdmaManager::setup_via_tcp(HostId local,
                                         std::uint16_t rendezvous_port) {
   auto flow = network_->connect(local, cred, pid, remote, Proto::tcp,
                                 rendezvous_port);
+  const auto rendezvous_label = [&](std::string& out) {
+    out += "rendezvous host ";
+    obs::append_uint(out, remote.value());
+    out += " port ";
+    obs::append_uint(out, rendezvous_port);
+  };
   if (!flow) {
     ++stats_.qp_setups_blocked;
     // ECONNREFUSED with the UBF inspecting this port is a firewall drop;
@@ -16,11 +22,8 @@ Result<QpId> RdmaManager::setup_via_tcp(HostId local,
         network_->inspects(rendezvous_port)) {
       trace_->record(obs::DecisionPoint::rdma_setup, obs::Outcome::deny,
                      cred.uid, cred.egid, Uid{},
-                     obs::ChannelKind::rdma_tcp_setup, obs::knob::ubf, [&] {
-                       return "rendezvous host " +
-                              std::to_string(remote.value()) + " port " +
-                              std::to_string(rendezvous_port);
-                     });
+                     obs::ChannelKind::rdma_tcp_setup, obs::knob::ubf,
+                     rendezvous_label);
     }
     return flow.error();
   }
@@ -28,11 +31,8 @@ Result<QpId> RdmaManager::setup_via_tcp(HostId local,
   if (trace_ != nullptr && f.has_value() && f->server_uid != cred.uid) {
     trace_->record(obs::DecisionPoint::rdma_setup, obs::Outcome::allow,
                    cred.uid, cred.egid, f->server_uid,
-                   obs::ChannelKind::rdma_tcp_setup, nullptr, [&] {
-                     return "rendezvous host " +
-                            std::to_string(remote.value()) + " port " +
-                            std::to_string(rendezvous_port);
-                   });
+                   obs::ChannelKind::rdma_tcp_setup, nullptr,
+                   rendezvous_label);
   }
   const QpId id{next_qp_++};
   QueuePair qp;
@@ -57,8 +57,10 @@ Result<QpId> RdmaManager::setup_via_cm(HostId local,
   if (trace_ != nullptr && remote_uid != cred.uid) {
     trace_->record(obs::DecisionPoint::rdma_setup, obs::Outcome::allow,
                    cred.uid, cred.egid, remote_uid,
-                   obs::ChannelKind::rdma_native_cm, nullptr, [&] {
-                     return "cm host " + std::to_string(remote.value());
+                   obs::ChannelKind::rdma_native_cm, nullptr,
+                   [&](std::string& out) {
+                     out += "cm host ";
+                     obs::append_uint(out, remote.value());
                    });
   }
   const QpId id{next_qp_++};

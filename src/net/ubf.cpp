@@ -1,5 +1,8 @@
 #include "net/ubf.h"
 
+#include <algorithm>
+#include <iterator>
+
 namespace heus::net {
 
 void Ubf::attach() {
@@ -19,6 +22,25 @@ void Ubf::attach() {
 }
 
 void Ubf::detach() { network_->clear_hook(); }
+
+std::vector<UbfLogEntry> Ubf::log() const {
+  std::vector<UbfLogEntry> out;
+  for (const Shard& sh : shards_) {
+    std::rotate_copy(sh.log.begin(), sh.log.begin() + sh.log_head,
+                     sh.log.end(), std::back_inserter(out));
+  }
+  return out;
+}
+
+void Ubf::set_log_limit(std::size_t n) {
+  log_limit_ = n;
+  for (Shard& sh : shards_) {
+    // Unwrap the ring oldest-first, then drop all but the newest n.
+    std::rotate(sh.log.begin(), sh.log.begin() + sh.log_head, sh.log.end());
+    sh.log_head = 0;
+    if (sh.log.size() > n) sh.log.erase(sh.log.begin(), sh.log.end() - n);
+  }
+}
 
 Result<IdentInfo> Ubf::ident_with_retry(Shard& sh, HostId host, Proto proto,
                                         std::uint16_t port) {
@@ -102,12 +124,6 @@ UbfDecision Ubf::decide(const ConnRequest& req) {
         // Membership is evaluated against the account database (the real
         // daemon resolves the listener's egid and the initiator's group
         // list from the directory service).
-        const simos::Group* g = users_->find_group(listener->egid);
-        // A user-private group contains only its owner, so rule (b) can
-        // only ever fire for genuine shared groups — but the membership
-        // test alone already guarantees that; the kind check is not
-        // needed.
-        (void)g;
         decision = UbfDecision::allow_group_member;
       }
       if (cache_enabled_) sh.cache.emplace(key, decision);
@@ -158,7 +174,13 @@ UbfDecision Ubf::decide(const ConnRequest& req) {
   }
 
   entry.decision = decision;
-  if (sh.log.size() < log_limit_) sh.log.push_back(entry);
+  if (sh.log.size() < log_limit_) {
+    sh.log.push_back(entry);
+  } else if (!sh.log.empty()) {
+    // Full: overwrite the oldest entry in place.
+    sh.log[sh.log_head] = entry;
+    sh.log_head = (sh.log_head + 1) % sh.log.size();
+  }
   return decision;
 }
 

@@ -183,15 +183,11 @@ class Ubf {
     return n;
   }
 
-  /// Recent decisions (bounded per shard), concatenated in shard order.
-  [[nodiscard]] std::vector<UbfLogEntry> log() const {
-    std::vector<UbfLogEntry> out;
-    for (const Shard& sh : shards_) {
-      out.insert(out.end(), sh.log.begin(), sh.log.end());
-    }
-    return out;
-  }
-  void set_log_limit(std::size_t n) { log_limit_ = n; }
+  /// Recent decisions: the newest log-limit entries of each shard,
+  /// oldest first, concatenated in shard order.
+  [[nodiscard]] std::vector<UbfLogEntry> log() const;
+  /// Keep the newest `n` decisions per shard (0 logs nothing).
+  void set_log_limit(std::size_t n);
 
  private:
   struct CacheKey {
@@ -229,7 +225,10 @@ class Ubf {
   // before attaching (Cluster::apply_policy rebuilds + reattaches).
   struct Shard {
     UbfStats stats;
+    /// Ring of the newest log_limit_ decisions once full; log_head is
+    /// the oldest entry (0 until the ring wraps).
     std::vector<UbfLogEntry> log;
+    std::size_t log_head = 0;
     std::uint64_t cache_epoch = 0;
     /// Open-addressing over a dense entry array (common::FlatMap): the
     /// admission fast path probes one contiguous index instead of

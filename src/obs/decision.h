@@ -17,22 +17,21 @@
 // Disabled, record() bumps two integers and returns — the object-label
 // callback is never invoked, so no allocation happens per decision
 // (bench_decision_trace, E21, pins this at exactly zero). Enabled, the
-// ring is stored struct-of-arrays (one dense array per field) with the
-// object labels interned into an arena-backed FIFO byte ring, so a
-// steady-state record() through the append-form callback allocates
-// nothing either (bench_layout, E26); old records are overwritten, never
-// reallocated past the configured capacity.
+// label callback appends into a reusable scratch buffer, and the ring is
+// stored struct-of-arrays (one dense array per field) with the labels
+// interned into an arena-backed FIFO byte ring, so a steady-state
+// record() allocates nothing either (bench_layout, E26); old records are
+// overwritten, never reallocated past the configured capacity.
 #pragma once
 
 #include <array>
+#include <concepts>
 #include <cstddef>
 #include <cstdint>
 #include <mutex>
 #include <optional>
 #include <string>
 #include <string_view>
-#include <type_traits>
-#include <utility>
 #include <vector>
 
 #include "common/arena.h"
@@ -82,9 +81,9 @@ enum class Outcome { allow, deny };
 [[nodiscard]] const char* to_string(Outcome outcome);
 
 /// Append the decimal digits of `v` to `out` without materialising a
-/// temporary std::string (std::to_string allocates). For append-form
-/// record() callbacks: the scratch buffer reaches steady-state capacity
-/// and label building stops allocating entirely.
+/// temporary std::string (std::to_string allocates). For record()'s
+/// label callbacks: the scratch buffer reaches steady-state capacity and
+/// label building stops allocating entirely.
 inline void append_uint(std::string& out, std::uint64_t v) {
   char buf[20];
   std::size_t n = 0;
@@ -146,17 +145,14 @@ class DecisionTrace {
   /// only materialised) when the trace is enabled; disabled-mode cost is
   /// two counter increments.
   ///
-  /// Two callback forms are accepted:
-  ///  - value form: `[&] { return std::string{...}; }` — one temporary
-  ///    string per enabled record (the pre-SoA cost, kept for
-  ///    compatibility and cold call sites);
-  ///  - append form: `[&](std::string& out) { out += ...; }` — writes
-  ///    into the trace's reusable scratch buffer, so the enabled
-  ///    steady-state path performs zero heap allocations. Hot call sites
-  ///    (UBF admission, placement, query filtering) use this form.
-  /// Either way the label bytes are interned into the trace's arena-backed
-  /// byte ring, never stored as a per-record std::string.
+  /// `make_object` appends the object label to the buffer it is handed:
+  /// `[&](std::string& out) { out += ...; obs::append_uint(out, n); }`.
+  /// The buffer is the trace's reusable scratch string, so the enabled
+  /// steady-state path performs zero heap allocations, and the label
+  /// bytes are interned into the arena-backed byte ring, never stored as
+  /// a per-record std::string.
   template <typename MakeObject>
+    requires std::invocable<MakeObject&, std::string&>
   void record(DecisionPoint point, Outcome outcome, Uid subject,
               Gid subject_gid, Uid object_owner,
               std::optional<ChannelKind> channel, const char* knob,
@@ -175,12 +171,8 @@ class DecisionTrace {
       ++seq_;
       return;
     }
-    if constexpr (std::is_invocable_v<MakeObject&, std::string&>) {
-      scratch_.clear();
-      std::forward<MakeObject>(make_object)(scratch_);
-    } else {
-      scratch_ = std::forward<MakeObject>(make_object)();
-    }
+    scratch_.clear();
+    make_object(scratch_);
     append_record(point, outcome, subject, subject_gid, object_owner,
                   channel, knob, from_cache, scratch_);
   }

@@ -156,6 +156,13 @@ Result<std::string> Gateway::forward_hop(const simos::Credentials& user_cred,
                              net::Proto::tcp, app.port);
     if (flow) ++stats_.retry_successes;
   }
+  const auto app_label = [&](std::string& out) {
+    out += app.name;
+    out += " host ";
+    obs::append_uint(out, app.host.value());
+    out += " port ";
+    obs::append_uint(out, app.port);
+  };
   if (!flow) {
     ++stats_.denied_network;
     // The fabric refused the forwarded hop. With the UBF inspecting the
@@ -167,11 +174,7 @@ Result<std::string> Gateway::forward_hop(const simos::Credentials& user_cred,
       trace_->record(obs::DecisionPoint::portal_forward, obs::Outcome::deny,
                      user_cred.uid, user_cred.egid, app.owner,
                      obs::ChannelKind::portal_foreign_app, obs::knob::ubf,
-                     [&] {
-                       return app.name + " host " +
-                              std::to_string(app.host.value()) + " port " +
-                              std::to_string(app.port);
-                     });
+                     app_label);
     }
     return flow.error();
   }
@@ -190,11 +193,7 @@ Result<std::string> Gateway::forward_hop(const simos::Credentials& user_cred,
       user_cred.uid != app.owner) {
     trace_->record(obs::DecisionPoint::portal_forward, obs::Outcome::allow,
                    user_cred.uid, user_cred.egid, app.owner,
-                   obs::ChannelKind::portal_foreign_app, nullptr, [&] {
-                     return app.name + " host " +
-                            std::to_string(app.host.value()) + " port " +
-                            std::to_string(app.port);
-                   });
+                   obs::ChannelKind::portal_foreign_app, nullptr, app_label);
   }
   return *back;
 }

@@ -38,8 +38,10 @@ Result<void> PamSlurm::authorize_ssh(const Credentials& cred,
                    allowed ? obs::Outcome::allow : obs::Outcome::deny,
                    cred.uid, cred.egid, kRootUid,
                    obs::ChannelKind::ssh_foreign_node,
-                   allowed ? nullptr : obs::knob::pam_slurm, [&] {
-                     return "node " + std::to_string(node.value());
+                   allowed ? nullptr : obs::knob::pam_slurm,
+                   [&](std::string& out) {
+                     out += "node ";
+                     obs::append_uint(out, node.value());
                    });
   }
   return allowed ? ok_result() : Result<void>(Errno::eperm);

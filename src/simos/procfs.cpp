@@ -34,7 +34,10 @@ void ProcFs::record(const Credentials& reader, const Process& p,
       obs::DecisionPoint::procfs_visibility,
       allowed ? obs::Outcome::allow : obs::Outcome::deny, reader.uid,
       reader.egid, p.cred.uid, channel, allowed ? nullptr : obs::knob::hidepid,
-      [&] { return "/proc/" + std::to_string(p.pid.value()); });
+      [&](std::string& out) {
+        out += "/proc/";
+        obs::append_uint(out, p.pid.value());
+      });
 }
 
 std::vector<Pid> ProcFs::list(const Credentials& reader) const {

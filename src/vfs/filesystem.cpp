@@ -47,7 +47,7 @@ void FileSystem::record_read(const Credentials& cred,
   trace_->record(point,
                  allowed ? obs::Outcome::allow : obs::Outcome::deny,
                  cred.uid, cred.egid, object_owner, channel_for_path(path),
-                 nullptr, [&] { return path; });
+                 nullptr, [&](std::string& out) { out += path; });
 }
 
 FileSystem::FileSystem(std::string name, const simos::UserDb* users,
@@ -560,7 +560,7 @@ Result<std::vector<DirEntry>> FileSystem::readdir(const Credentials& cred,
     trace_->record(obs::DecisionPoint::fs_access, obs::Outcome::allow,
                    cred.uid, cred.egid, dir.uid,
                    obs::ChannelKind::fs_tmp_names, nullptr,
-                   [&] { return path; });
+                   [&](std::string& out) { out += path; });
   }
   std::vector<DirEntry> out;
   out.reserve(dir.entries.size());
@@ -622,7 +622,7 @@ Result<void> FileSystem::chmod(const Credentials& cred,
       trace_->record(obs::DecisionPoint::fs_chmod, obs::Outcome::deny,
                      cred.uid, cred.egid, node.uid, channel_for_path(path),
                      root_home_block ? obs::knob::root_owned_homes : nullptr,
-                     [&] { return path; });
+                     [&](std::string& out) { out += path; });
     }
     return Errno::eperm;
   }
@@ -635,7 +635,8 @@ Result<void> FileSystem::chmod(const Credentials& cred,
       // asked for — a deny of the world-visibility the chmod intended.
       trace_->record(obs::DecisionPoint::fs_chmod, obs::Outcome::deny,
                      cred.uid, cred.egid, node.uid, channel_for_path(path),
-                     obs::knob::fs_enforce_smask, [&] { return path; });
+                     obs::knob::fs_enforce_smask,
+                     [&](std::string& out) { out += path; });
     }
   }
   // Linux: a non-root chmod by someone outside the file's group clears
@@ -746,9 +747,10 @@ void FileSystem::record_acl_verdict(const Credentials& cred,
                  allowed ? obs::Outcome::allow : obs::Outcome::deny,
                  cred.uid, cred.egid, object_owner,
                  obs::ChannelKind::fs_acl_user_grant,
-                 allowed ? nullptr : deny_knob, [&] {
-                   return path + " +user:" +
-                          std::to_string(entry.uid.value());
+                 allowed ? nullptr : deny_knob, [&](std::string& out) {
+                   out += path;
+                   out += " +user:";
+                   obs::append_uint(out, entry.uid.value());
                  });
 }
 
@@ -861,7 +863,7 @@ Result<DeviceRef> FileSystem::open_device(const Credentials& cred,
                    allowed ? obs::Outcome::allow : obs::Outcome::deny,
                    cred.uid, cred.egid, node.uid, std::nullopt,
                    allowed ? nullptr : obs::knob::gpu_dev_binding,
-                   [&] { return path; });
+                   [&](std::string& out) { out += path; });
   }
   if (!allowed) return Errno::eacces;
   return *node.device;

@@ -67,7 +67,9 @@ TEST(FlatMapTest, AgreesWithUnorderedMapUnderRandomChurn) {
         const std::uint64_t* hit = flat.find(key);
         auto it = ref.find(key);
         ASSERT_EQ(hit != nullptr, it != ref.end());
-        if (hit != nullptr) EXPECT_EQ(*hit, it->second);
+        if (hit != nullptr) {
+          EXPECT_EQ(*hit, it->second);
+        }
         break;
       }
     }
@@ -211,7 +213,9 @@ TEST(OrderedMapTest, AgreesWithStdMapAndIteratesInKeyOrder) {
         auto it = flat.find(key);
         auto rit = ref.find(key);
         ASSERT_EQ(it != flat.end(), rit != ref.end());
-        if (rit != ref.end()) EXPECT_EQ(it->second, rit->second);
+        if (rit != ref.end()) {
+          EXPECT_EQ(it->second, rit->second);
+        }
         break;
       }
     }

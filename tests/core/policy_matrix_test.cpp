@@ -16,6 +16,10 @@ struct KnobCase {
   std::vector<ChannelKind> closes;
 };
 
+// Without this gtest prints the raw object bytes, pointers included, so the
+// discovered test names would change with every load address.
+void PrintTo(const KnobCase& kc, std::ostream* os) { *os << kc.name; }
+
 void knob_hidepid(SeparationPolicy& p) {
   p.hidepid = simos::HidepidMode::invisible;
 }

@@ -137,12 +137,28 @@ TEST_F(UbfTest, FailsClosedOnUnattributableEndpoints) {
 
 TEST_F(UbfTest, LogRingBufferBounded) {
   ubf->set_log_limit(3);
-  ASSERT_TRUE(nw.listen(h1, a, Pid{10}, Proto::tcp, 5000).ok());
-  for (int i = 0; i < 10; ++i) {
-    auto flow = nw.connect(h2, a, Pid{20}, h1, Proto::tcp, 5000);
+  // One listener port per connection, so each log entry names its turn.
+  for (std::uint16_t i = 0; i < 10; ++i) {
+    const auto port = static_cast<std::uint16_t>(5000 + i);
+    ASSERT_TRUE(nw.listen(h1, a, Pid{10}, Proto::tcp, port).ok());
+    auto flow = nw.connect(h2, a, Pid{20}, h1, Proto::tcp, port);
     if (flow) (void)nw.close(*flow);
   }
-  EXPECT_EQ(ubf->log().size(), 3u);
+  // The ring keeps the newest three decisions, oldest first.
+  const std::vector<UbfLogEntry> log = ubf->log();
+  ASSERT_EQ(log.size(), 3u);
+  EXPECT_EQ(log[0].request.dst_port, 5007);
+  EXPECT_EQ(log[1].request.dst_port, 5008);
+  EXPECT_EQ(log[2].request.dst_port, 5009);
+
+  // Shrinking the limit keeps the newest entries; 0 logs nothing.
+  ubf->set_log_limit(2);
+  ASSERT_EQ(ubf->log().size(), 2u);
+  EXPECT_EQ(ubf->log()[0].request.dst_port, 5008);
+  EXPECT_EQ(ubf->log()[1].request.dst_port, 5009);
+  ubf->set_log_limit(0);
+  (void)nw.connect(h2, a, Pid{20}, h1, Proto::tcp, 5000);
+  EXPECT_TRUE(ubf->log().empty());
 }
 
 TEST_F(UbfTest, StatsCountEveryDecision) {

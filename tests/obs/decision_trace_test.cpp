@@ -1,19 +1,45 @@
 // Unit tests for the heus::obs decision spine: ring-buffer wraparound,
 // the disabled-mode cost contract (exact counters, zero materialised
-// records, deferred object construction), and UBF cache-hit decisions
-// replaying the original attribution.
+// records, deferred object construction), UBF cache-hit decisions
+// replaying the original attribution, the one-form label contract, and
+// the exact label text every enforcement point writes on a hardened
+// cluster.
 #include <gtest/gtest.h>
 
+#include <optional>
 #include <string>
+#include <vector>
 
 #include "common/clock.h"
+#include "common/errno.h"
+#include "container/entry_lifecycle.h"
+#include "container/runtime.h"
+#include "core/cluster.h"
+#include "fed/federation.h"
+#include "lifecycle/machine.h"
 #include "net/network.h"
 #include "net/ubf.h"
 #include "obs/decision.h"
+#include "sched/scheduler.h"
+#include "simos/credentials.h"
 #include "simos/user_db.h"
+#include "vfs/filesystem.h"
 
 namespace heus::obs {
 namespace {
+
+// record() takes one label form, the append form. A value-returning
+// callback must not satisfy its constraint. The check lives in a
+// variable template because a requires-expression naming an invalid
+// call is ill-formed outside a template.
+template <typename MakeObject>
+constexpr bool kRecordAccepts =
+    requires(DecisionTrace& trace, MakeObject make_object) {
+      trace.record(DecisionPoint::pam_ssh, Outcome::deny, Uid{}, Gid{},
+                   Uid{}, std::nullopt, nullptr, make_object);
+    };
+static_assert(kRecordAccepts<void (*)(std::string&)>);
+static_assert(!kRecordAccepts<std::string (*)()>);
 
 TEST(DecisionTraceTest, RingOverwritesOldestAtCapacity) {
   DecisionTrace trace;
@@ -23,7 +49,10 @@ TEST(DecisionTraceTest, RingOverwritesOldestAtCapacity) {
     trace.record(DecisionPoint::ubf_admission,
                  i % 2 == 0 ? Outcome::allow : Outcome::deny, Uid{1000},
                  Gid{1000}, Uid{1001}, ChannelKind::tcp_cross_user, nullptr,
-                 [&] { return "decision " + std::to_string(i); });
+                 [&](std::string& out) {
+                   out += "decision ";
+                   append_uint(out, i);
+                 });
   }
   EXPECT_EQ(trace.size(), 4u);
   EXPECT_EQ(trace.capacity(), 4u);
@@ -50,9 +79,9 @@ TEST(DecisionTraceTest, DisabledModeCountsExactlyButMaterialisesNothing) {
     trace.record(DecisionPoint::fs_access,
                  i % 4 == 0 ? Outcome::deny : Outcome::allow, Uid{1000},
                  Gid{1000}, Uid{1001}, ChannelKind::fs_home_read, nullptr,
-                 [&] {
+                 [&](std::string& out) {
                    ++object_builds;
-                   return std::string{"/home/victim/file"};
+                   out += "/home/victim/file";
                  });
   }
   // Zero records, zero object-string constructions...
@@ -74,7 +103,7 @@ TEST(DecisionTraceTest, ClearResetsRecordsAndCounters) {
   trace.set_enabled(true);
   trace.record(DecisionPoint::pam_ssh, Outcome::deny, Uid{1000}, Gid{1000},
                kRootUid, ChannelKind::ssh_foreign_node, knob::pam_slurm,
-               [] { return std::string{"node 1"}; });
+               [](std::string& out) { out += "node 1"; });
   ASSERT_EQ(trace.size(), 1u);
   trace.clear();
   EXPECT_EQ(trace.size(), 0u);
@@ -126,6 +155,218 @@ TEST(DecisionTraceTest, UbfCacheHitReplaysOriginalAttribution) {
   EXPECT_EQ(snap[1].channel, snap[0].channel);
   EXPECT_EQ(snap[0].outcome, Outcome::deny);
   EXPECT_EQ(snap[1].outcome, Outcome::deny);
+}
+
+// ---------------------------------------------------------------------------
+// Label text. Every enforcement point on a hardened cluster writes its
+// object label through record()'s append callback; these pin the exact
+// bytes each one produces, so the digests and any trace reader see the
+// same text whichever way a label is built.
+// ---------------------------------------------------------------------------
+
+using Labels = std::vector<std::string>;
+
+core::ClusterConfig hardened_config() {
+  core::ClusterConfig cfg;
+  cfg.compute_nodes = 2;
+  cfg.login_nodes = 1;
+  cfg.cpus_per_node = 8;
+  cfg.gpus_per_node = 1;
+  cfg.gpu_mem_bytes = 1024;
+  cfg.policy = core::SeparationPolicy::hardened();
+  return cfg;
+}
+
+/// The labels recorded at `point` since the trace was last cleared,
+/// oldest first. Clears the trace, so each step sees only its own rows.
+Labels take_labels(DecisionTrace& trace, DecisionPoint point) {
+  Labels out;
+  for (const Decision& d : trace.snapshot()) {
+    if (d.point == point) out.push_back(d.object);
+  }
+  trace.clear();
+  return out;
+}
+
+class DecisionLabelTest : public ::testing::Test {
+ protected:
+  void SetUp() override {
+    victim = *cluster.add_user("victim");
+    observer = *cluster.add_user("observer");
+    vs = *cluster.login(victim);
+    os = *cluster.login(observer);
+    // A project listener lets the UBF admit the observer (rule b), so
+    // the allow-side labels are reachable under the hardened policy.
+    const Gid proj = *cluster.create_project("widgets", victim);
+    ASSERT_TRUE(cluster.add_to_project(victim, proj, observer).ok());
+    victim_in_proj = *simos::newgrp(cluster.users(), vs.cred, proj);
+    cluster.trace().set_enabled(true);
+    cluster.trace().clear();
+  }
+
+  Labels take(DecisionPoint point) {
+    return take_labels(cluster.trace(), point);
+  }
+
+  /// Submit a victim job and step it to running.
+  const sched::Job& run_victim_job(const sched::JobSpec& spec) {
+    const JobId id = *cluster.submit(vs, spec);
+    cluster.scheduler().step();
+    const sched::Job* job = cluster.scheduler().find_job(id);
+    EXPECT_EQ(job->state, sched::JobState::running);
+    return *job;
+  }
+
+  core::Cluster cluster{hardened_config()};
+  Uid victim, observer;
+  core::Session vs, os;
+  simos::Credentials victim_in_proj;
+};
+
+TEST_F(DecisionLabelTest, ProcfsAndPamLabels) {
+  (void)cluster.node(vs.node).procfs().stat(os.cred, vs.shell);
+  EXPECT_EQ(take(DecisionPoint::procfs_visibility),
+            Labels{"/proc/" + std::to_string(vs.shell.value())});
+
+  const NodeId compute = cluster.compute_nodes().front();
+  EXPECT_FALSE(cluster.ssh(os, compute).ok());
+  EXPECT_EQ(take(DecisionPoint::pam_ssh),
+            Labels{"node " + std::to_string(compute.value())});
+}
+
+TEST_F(DecisionLabelTest, RdmaLabels) {
+  net::Network& nw = cluster.network();
+  const HostId vhost = cluster.node(vs.node).host();
+  const HostId ohost = cluster.node(os.node).host();
+  ASSERT_TRUE(
+      nw.listen(vhost, vs.cred, vs.shell, net::Proto::tcp, 24000).ok());
+  ASSERT_TRUE(
+      nw.listen(vhost, victim_in_proj, vs.shell, net::Proto::tcp, 24001)
+          .ok());
+  EXPECT_FALSE(
+      cluster.rdma().setup_via_tcp(ohost, os.cred, os.shell, vhost, 24000)
+          .ok());
+  EXPECT_TRUE(
+      cluster.rdma().setup_via_tcp(ohost, os.cred, os.shell, vhost, 24001)
+          .ok());
+  EXPECT_TRUE(cluster.rdma().setup_via_cm(ohost, os.cred, vhost, victim).ok());
+  const std::string host = std::to_string(vhost.value());
+  EXPECT_EQ(take(DecisionPoint::rdma_setup),
+            (Labels{"rendezvous host " + host + " port 24000",
+                    "rendezvous host " + host + " port 24001",
+                    "cm host " + host}));
+}
+
+TEST_F(DecisionLabelTest, FilesystemLabels) {
+  vfs::FileSystem& fs = cluster.shared_fs();
+  const std::string home = cluster.users().find_user(victim)->home;
+  const std::string file = home + "/secret.dat";
+  ASSERT_TRUE(fs.write_file(vs.cred, file, "x").ok());
+  cluster.trace().clear();
+
+  // Root-owned home refuses the victim's chmod; smask clamps the file's.
+  (void)fs.chmod(vs.cred, home, 0777);
+  (void)fs.chmod(vs.cred, file, 0666);
+  EXPECT_EQ(take(DecisionPoint::fs_chmod), (Labels{home, file}));
+
+  EXPECT_FALSE(fs.read_file(os.cred, file).ok());
+  (void)cluster.node(os.node).local_fs().readdir(os.cred, "/tmp");
+  EXPECT_EQ(take(DecisionPoint::fs_access), (Labels{file, "/tmp"}));
+
+  EXPECT_FALSE(
+      fs.acl_set(vs.cred, file,
+                 vfs::AclEntry{vfs::AclTag::named_user, observer, Gid{}, 4})
+          .ok());
+  EXPECT_EQ(take(DecisionPoint::fs_acl),
+            Labels{file + " +user:" + std::to_string(observer.value())});
+}
+
+TEST_F(DecisionLabelTest, GpuDeviceAndScrubLabels) {
+  sched::JobSpec spec;
+  spec.gpus_per_task = 1;
+  spec.mem_mb_per_task = 512;
+  spec.duration_ns = 10 * common::kSecond;
+  const sched::Job& job = run_victim_job(spec);
+  core::Node& nd = cluster.node(job.allocations.front().node);
+  const GpuId g = job.allocations.front().gpus.front();
+  const std::string dev = "/dev/nvidia" + std::to_string(g.value());
+  ASSERT_TRUE(
+      nd.local_fs().open_device(vs.cred, dev, vfs::Access::write).ok());
+  EXPECT_FALSE(
+      nd.local_fs().open_device(os.cred, dev, vfs::Access::read).ok());
+  EXPECT_EQ(take(DecisionPoint::gpu_dev_access), (Labels{dev, dev}));
+
+  ASSERT_TRUE(nd.gpus().at(g.value()).write(victim, 0, "residue").ok());
+  cluster.run_jobs();
+  EXPECT_EQ(take(DecisionPoint::gpu_scrub), Labels{dev + " residue"});
+}
+
+TEST_F(DecisionLabelTest, PortalLabels) {
+  sched::JobSpec spec;
+  spec.interactive = true;
+  spec.duration_ns = 3600 * common::kSecond;
+  const sched::Job& job = run_victim_job(spec);
+  const HostId host = cluster.node(job.allocations.front().node).host();
+  const auto handler = [](const std::string&) { return std::string{"ok"}; };
+  const auto own = cluster.portal().register_app(
+      vs.cred, Pid{}, job.id, host, 8888, "jupyter", handler);
+  const auto shared = cluster.portal().register_app(
+      victim_in_proj, Pid{}, job.id, host, 8889, "dashboard", handler);
+  ASSERT_TRUE(own.ok());
+  ASSERT_TRUE(shared.ok());
+  const auto token = cluster.portal().login(os.cred);
+  ASSERT_TRUE(token.ok());
+  cluster.trace().clear();
+
+  EXPECT_FALSE(cluster.portal().request(*token, *own, "GET /").ok());
+  EXPECT_TRUE(cluster.portal().request(*token, *shared, "GET /").ok());
+  const std::string at = " host " + std::to_string(host.value()) + " port ";
+  EXPECT_EQ(take(DecisionPoint::portal_forward),
+            (Labels{"jupyter" + at + "8888", "dashboard" + at + "8889"}));
+}
+
+TEST_F(DecisionLabelTest, ContainerAndLifecycleLabels) {
+  const container::Image image("analysis.sif", {});
+  EXPECT_FALSE(
+      cluster.containers().exec(os.cred, &image, "run", nullptr, nullptr)
+          .ok());
+  EXPECT_FALSE(
+      cluster.containers().exec(os.cred, nullptr, "run", nullptr, nullptr)
+          .ok());
+  EXPECT_EQ(take(DecisionPoint::container_entry),
+            (Labels{"analysis.sif", "<no image>"}));
+
+  lifecycle::Driver entry(&container::entry_machine());
+  entry.set_trace(&cluster.trace());
+  auto state =
+      static_cast<lifecycle::StateId>(container::EntryState::requested);
+  ASSERT_NE(entry.fire(state,
+                       static_cast<lifecycle::EventId>(
+                           container::EntryEvent::exec),
+                       [](const lifecycle::Guard&) { return false; },
+                       observer, os.cred.egid, kRootUid),
+            nullptr);
+  EXPECT_EQ(take(DecisionPoint::lifecycle_transition),
+            Labels{"container-entry: requested --exec[!entry-authorized]--> "
+                   "denied / record-denial"});
+}
+
+TEST(DecisionLabelFedTest, FederationDenyLabelIsTheOperation) {
+  core::Cluster alpha(hardened_config());
+  core::Cluster beta(hardened_config());
+  const Uid bob = *alpha.add_user("bob");  // no account on beta
+  beta.trace().set_enabled(true);
+  fed::Federation fed;
+  const fed::ClusterIdx a = fed.add_cluster("alpha", &alpha);
+  const fed::ClusterIdx b = fed.add_cluster("beta", &beta);
+  const HostId host = beta.node(beta.compute_nodes().front()).host();
+  EXPECT_EQ(fed.connect(a, *simos::login(alpha.users(), bob), b, host,
+                        net::Proto::tcp, 5000)
+                .error(),
+            Errno::eperm);
+  EXPECT_EQ(take_labels(beta.trace(), DecisionPoint::fed_admission),
+            Labels{"connect alpha->beta host " + std::to_string(host.value()) +
+                   " port 5000"});
 }
 
 }  // namespace

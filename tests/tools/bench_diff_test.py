@@ -51,6 +51,20 @@ class DirectionTest(unittest.TestCase):
         self.assertEqual(
             bench_diff.tolerance_for("audit.allocations", 0.10, []), 0.10)
 
+    def test_list_rows_are_keyed_by_label(self):
+        # E26's trace_paths rows carry "path", E21's audit_census rows
+        # carry "point": either names the row, so retiring one row leaves
+        # the others keyed as before.
+        out = {}
+        bench_diff.flatten({"trace_paths": [
+            {"path": "disabled", "bytes": 0},
+            {"path": "append-form", "bytes": 0}]}, "", out)
+        bench_diff.flatten({"audit_census": [
+            {"point": "pam-ssh", "denied": 1}]}, "", out)
+        self.assertEqual(set(out), {"trace_paths[disabled].bytes",
+                                    "trace_paths[append-form].bytes",
+                                    "audit_census[pam-ssh].denied"})
+
     def test_leaf_of_list_entries(self):
         self.assertEqual(bench_diff.leaf_of("runs[warm].alloc_per_op"),
                          "alloc_per_op")
@@ -110,6 +124,15 @@ class EndToEndTest(unittest.TestCase):
         self.assertEqual(run_diff(base, fresh).returncode, 0)
         p = run_diff(base, fresh, "--override", "touched=0.01")
         self.assertEqual(p.returncode, 1, p.stdout + p.stderr)
+
+    def test_dropped_row_does_not_shift_the_rest(self):
+        base = {"rows": [{"path": "a", "allocs": 5},
+                         {"path": "b", "allocs": 0}]}
+        fresh = {"rows": [{"path": "b", "allocs": 0}]}
+        p = run_diff(base, fresh)
+        self.assertEqual(p.returncode, 1, p.stdout + p.stderr)
+        self.assertIn("rows[a].allocs: missing from fresh", p.stdout)
+        self.assertNotIn("rows[b]", p.stdout)
 
     def test_missing_metric_still_fails(self):
         p = run_diff({"alloc_per_op": 1, "touched": 2}, {"touched": 2})

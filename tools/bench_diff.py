@@ -47,8 +47,10 @@ LOWER_BETTER = ("allocs", "touched", "examined", "_cost", "misses", "_bytes")
 # regression tolerated at all (tolerance 0.0 unless overridden).
 ZERO_TOLERANCE_PREFIX = "alloc_"
 
-# Keys used to label entries when flattening a list of result objects.
-LABEL_KEYS = ("policy", "label", "name", "mode", "workload", "case")
+# Keys used to label entries when flattening a list of result objects, so
+# rows are matched by what they measure rather than by list position.
+LABEL_KEYS = ("policy", "label", "name", "mode", "workload", "case", "path",
+              "point")
 
 
 def flatten(value, prefix, out):
