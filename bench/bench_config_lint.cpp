@@ -19,13 +19,13 @@
 #include "analyze/ingest/site.h"
 #include "analyze/ingest/site_report.h"
 #include "analyze/policy_space.h"
-#include "bench/common/json.h"
 #include "bench/common/table.h"
 #include "common/strings.h"
 
 namespace heus::bench {
 namespace {
 
+using common::Json;
 using namespace heus::analyze;
 using namespace heus::analyze::ingest;
 
@@ -59,7 +59,7 @@ std::vector<std::pair<std::string, std::string>> render_node(
   return artifacts;
 }
 
-void run() {
+void run(Json& results) {
   print_banner(
       "E19: config-lint throughput (ingest + drift + census)",
       "Per-node artifact parse, emit->parse round trip, and full site "
@@ -111,23 +111,23 @@ void run() {
                   fmt_ns(roundtrip_ns)});
   stages.print();
 
-  JsonValue stage_series = JsonValue::array();
+  Json stage_series = Json::array();
   auto add_stage = [&stage_series](const char* stage, double ns) {
-    JsonValue row = JsonValue::object();
-    row.set("stage", JsonValue::str(stage));
-    row.set("per_node_ns", JsonValue::number(ns));
+    Json row = Json::object();
+    row.set("stage", stage);
+    row.set("per_node_ns", ns);
     stage_series.push(std::move(row));
   };
   add_stage("emit", emit_ns);
   add_stage("parse", parse_ns);
   add_stage("round_trip", roundtrip_ns);
-  JsonReport::instance().set("per_node_stages", std::move(stage_series));
+  results.set("per_node_stages", std::move(stage_series));
 
   // Full site review at fleet scale: uniform hardened fleet (the happy
   // path a nightly gate sees) vs a heterogeneous fleet (every node a
   // different lattice point — worst case for drift and attribution).
   Table fleets({"fleet", "nodes", "review latency", "per node"});
-  JsonValue fleet_series = JsonValue::array();
+  Json fleet_series = Json::array();
   for (const bool uniform : {true, false}) {
     for (const std::size_t n : {std::size_t{4}, std::size_t{64},
                                 std::size_t{256}}) {
@@ -161,12 +161,11 @@ void run() {
                       common::strformat("%zu", n), fmt_ns(per_site),
                       fmt_ns(per_site / static_cast<double>(n))});
       const char* fleet = uniform ? "uniform_hardened" : "heterogeneous";
-      JsonValue row = JsonValue::object();
-      row.set("fleet", JsonValue::str(fleet));
-      row.set("nodes", JsonValue::integer(n));
-      row.set("review_ns", JsonValue::number(per_site));
-      row.set("per_node_ns",
-              JsonValue::number(per_site / static_cast<double>(n)));
+      Json row = Json::object();
+      row.set("fleet", fleet);
+      row.set("nodes", n);
+      row.set("review_ns", per_site);
+      row.set("per_node_ns", per_site / static_cast<double>(n));
       fleet_series.push(std::move(row));
     }
   }
@@ -177,20 +176,17 @@ void run() {
               "sink=%zu\n",
               kPolicies, policy_space_size(), sink);
 
-  JsonReport::instance().set("site_review", std::move(fleet_series));
-  JsonReport::instance().set("policies_sampled",
-                             JsonValue::integer(kPolicies));
+  results.set("site_review", std::move(fleet_series));
+  results.set("policies_sampled", kPolicies);
 }
 
 }  // namespace
 }  // namespace heus::bench
 
 int main(int argc, char** argv) {
-  heus::bench::run();
-  const auto path =
-      heus::bench::json_output_path(argc, argv, "BENCH_E19.json");
-  if (!path) {
-    return 0;
-  }
-  return heus::bench::JsonReport::instance().write("E19", *path) ? 0 : 1;
+  heus::common::Json results = heus::common::Json::object();
+  heus::bench::run(results);
+  const auto path = heus::common::json_flag(argc, argv, "BENCH_E19.json");
+  if (!path) return 0;
+  return heus::bench::write_report("E19", std::move(results), *path) ? 0 : 1;
 }

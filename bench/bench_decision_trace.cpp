@@ -22,7 +22,6 @@
 #include <new>
 #include <string>
 
-#include "bench/common/json.h"
 #include "bench/common/table.h"
 #include "common/strings.h"
 #include "core/audit.h"
@@ -55,6 +54,8 @@ void operator delete[](void* p, std::size_t) noexcept { std::free(p); }
 
 namespace heus::bench {
 namespace {
+
+using common::Json;
 
 struct ModeProbe {
   bool enabled = false;
@@ -105,7 +106,7 @@ ModeProbe trace_mode_probe(bool enabled, std::uint64_t decisions) {
   return out;
 }
 
-void mode_overhead_section(bool smoke) {
+void mode_overhead_section(Json& results, bool smoke) {
   print_banner(
       "E21a: per-decision record() cost, disabled vs enabled",
       "Disabled is the shipped default: zero allocations, zero object "
@@ -115,7 +116,7 @@ void mode_overhead_section(bool smoke) {
   const std::uint64_t decisions = smoke ? 50000 : 1000000;
   Table table({"mode", "decisions", "allocations", "allocs/decision",
                "objects-built", "retained", "counted-total"});
-  JsonValue series = JsonValue::array();
+  Json series = Json::array();
   bool disabled_clean = true;
   for (bool enabled : {false, true}) {
     const ModeProbe p = trace_mode_probe(enabled, decisions);
@@ -130,19 +131,18 @@ void mode_overhead_section(bool smoke) {
                                static_cast<double>(p.decisions)),
          std::to_string(p.objects_built), std::to_string(p.retained),
          std::to_string(p.counted_total)});
-    JsonValue row = JsonValue::object();
-    row.set("enabled", JsonValue::boolean(p.enabled));
-    row.set("decisions", JsonValue::integer(p.decisions));
-    row.set("allocations", JsonValue::integer(p.allocations));
-    row.set("objects_built", JsonValue::integer(p.objects_built));
-    row.set("retained", JsonValue::integer(p.retained));
-    row.set("counted_total", JsonValue::integer(p.counted_total));
+    Json row = Json::object();
+    row.set("enabled", p.enabled);
+    row.set("decisions", p.decisions);
+    row.set("allocations", p.allocations);
+    row.set("objects_built", p.objects_built);
+    row.set("retained", p.retained);
+    row.set("counted_total", p.counted_total);
     series.push(std::move(row));
   }
   table.print();
-  JsonReport::instance().set("mode_overhead", std::move(series));
-  JsonReport::instance().set("disabled_zero_alloc",
-                             JsonValue::boolean(disabled_clean));
+  results.set("mode_overhead", std::move(series));
+  results.set("disabled_zero_alloc", disabled_clean);
   if (!disabled_clean) {
     std::fprintf(stderr,
                  "FAIL: disabled-mode record() performed heap work\n");
@@ -193,7 +193,7 @@ AuditProbe audit_probe(bool enabled) {
   return out;
 }
 
-void audit_census_section() {
+void audit_census_section(Json& results) {
   print_banner(
       "E21b: decision census over a full leakage audit (hardened)",
       "One audit_pair() under the hardened policy, every enforcement "
@@ -204,15 +204,15 @@ void audit_census_section() {
   const AuditProbe on = audit_probe(true);
 
   Table table({"decision-point", "allowed", "denied"});
-  JsonValue series = JsonValue::array();
+  Json series = Json::array();
   for (obs::DecisionPoint point : obs::kAllDecisionPoints) {
     const obs::PointCounters& c = on.counters[obs::point_index(point)];
     table.add_row({obs::to_string(point), std::to_string(c.allowed),
                    std::to_string(c.denied)});
-    JsonValue row = JsonValue::object();
-    row.set("point", JsonValue::str(obs::to_string(point)));
-    row.set("allowed", JsonValue::integer(c.allowed));
-    row.set("denied", JsonValue::integer(c.denied));
+    Json row = Json::object();
+    row.set("point", obs::to_string(point));
+    row.set("allowed", c.allowed);
+    row.set("denied", c.denied);
     series.push(std::move(row));
   }
   table.print();
@@ -232,12 +232,10 @@ void audit_census_section() {
               static_cast<unsigned long long>(on.overwritten),
               counters_match ? "match" : "MISMATCH");
 
-  JsonReport::instance().set("audit_census", std::move(series));
-  JsonReport::instance().set("audit_total_decisions",
-                             JsonValue::integer(on.total));
-  JsonReport::instance().set("audit_retained", JsonValue::integer(on.retained));
-  JsonReport::instance().set("counters_match_disabled",
-                             JsonValue::boolean(counters_match));
+  results.set("audit_census", std::move(series));
+  results.set("audit_total_decisions", on.total);
+  results.set("audit_retained", on.retained);
+  results.set("counters_match_disabled", counters_match);
   if (!counters_match) {
     std::fprintf(stderr,
                  "FAIL: counters diverge between enabled and disabled\n");
@@ -249,16 +247,15 @@ void audit_census_section() {
 }  // namespace heus::bench
 
 int main(int argc, char** argv) {
-  using heus::bench::JsonReport;
-  using heus::bench::JsonValue;
   const bool smoke = heus::bench::has_flag(argc, argv, "--smoke");
-  const std::string json_path =
-      heus::bench::json_output_path(argc, argv, "BENCH_E21.json")
+  const std::string path =
+      heus::common::json_flag(argc, argv, "BENCH_E21.json")
           .value_or("BENCH_E21.json");
 
-  heus::bench::mode_overhead_section(smoke);
-  heus::bench::audit_census_section();
+  heus::common::Json results = heus::common::Json::object();
+  heus::bench::mode_overhead_section(results, smoke);
+  heus::bench::audit_census_section(results);
 
-  JsonReport::instance().set("smoke", JsonValue::boolean(smoke));
-  return JsonReport::instance().write("E21", json_path) ? 0 : 1;
+  results.set("smoke", smoke);
+  return heus::bench::write_report("E21", std::move(results), path) ? 0 : 1;
 }

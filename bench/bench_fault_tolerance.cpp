@@ -11,7 +11,6 @@
 // is why it is never part of the shipped configuration.
 #include <string>
 
-#include "bench/common/json.h"
 #include "bench/common/table.h"
 #include "common/backoff.h"
 #include "common/rng.h"
@@ -22,6 +21,7 @@
 namespace heus::bench {
 namespace {
 
+using common::Json;
 using net::Proto;
 using net::Ubf;
 using net::UbfDegradedMode;
@@ -108,7 +108,7 @@ CellResult run_cell(UbfDegradedMode mode, double fault_rate) {
   return out;
 }
 
-void sweep() {
+void sweep(Json& results) {
   print_banner(
       "E18: UBF availability vs ident fault rate, per degraded-mode "
       "policy",
@@ -119,7 +119,7 @@ void sweep() {
 
   Table table({"mode", "fault-rate", "availability", "legit-denied",
                "leaks", "retries", "mean-connect-us"});
-  JsonValue series = JsonValue::array();
+  Json series = Json::array();
   for (const UbfDegradedMode mode :
        {UbfDegradedMode::fail_closed,
         UbfDegradedMode::retry_then_fail_closed,
@@ -134,19 +134,19 @@ void sweep() {
                      std::to_string(r.legit_denied),
                      std::to_string(r.leaks), std::to_string(r.retries),
                      common::strformat("%.2f", r.mean_connect_us)});
-      JsonValue row = JsonValue::object();
-      row.set("mode", JsonValue::str(net::to_string(mode)));
-      row.set("fault_rate", JsonValue::number(rate));
-      row.set("availability_pct", JsonValue::number(avail));
-      row.set("legit_denied", JsonValue::integer(r.legit_denied));
-      row.set("leaks", JsonValue::integer(r.leaks));
-      row.set("retries", JsonValue::integer(r.retries));
-      row.set("mean_connect_us", JsonValue::number(r.mean_connect_us));
+      Json row = Json::object();
+      row.set("mode", net::to_string(mode));
+      row.set("fault_rate", rate);
+      row.set("availability_pct", avail);
+      row.set("legit_denied", r.legit_denied);
+      row.set("leaks", r.leaks);
+      row.set("retries", r.retries);
+      row.set("mean_connect_us", r.mean_connect_us);
       series.push(std::move(row));
     }
   }
   table.print();
-  JsonReport::instance().set("degraded_mode_sweep", std::move(series));
+  results.set("degraded_mode_sweep", std::move(series));
   std::printf(
       "\nfail_closed converts the blip rate directly into denied "
       "legitimate connects; retry+backoff rides out independent blips "
@@ -160,10 +160,9 @@ void sweep() {
 }  // namespace heus::bench
 
 int main(int argc, char** argv) {
-  heus::bench::sweep();
-  if (auto path = heus::bench::json_output_path(argc, argv,
-                                                "BENCH_E18.json")) {
-    return heus::bench::JsonReport::instance().write("E18", *path) ? 0 : 1;
-  }
-  return 0;
+  heus::common::Json results = heus::common::Json::object();
+  heus::bench::sweep(results);
+  const auto path = heus::common::json_flag(argc, argv, "BENCH_E18.json");
+  if (!path) return 0;
+  return heus::bench::write_report("E18", std::move(results), *path) ? 0 : 1;
 }

@@ -16,7 +16,6 @@
 #include <string>
 #include <vector>
 
-#include "bench/common/json.h"
 #include "bench/common/table.h"
 #include "common/rng.h"
 #include "common/strings.h"
@@ -26,6 +25,7 @@
 namespace heus::bench {
 namespace {
 
+using common::Json;
 using core::Cluster;
 using core::ClusterConfig;
 using core::SeparationPolicy;
@@ -81,7 +81,7 @@ struct Rig {
 // Denial latency: retry-exhausted (closed breaker) vs fail-fast (open).
 // ---------------------------------------------------------------------------
 
-void denial_latency_section(int ops) {
+void denial_latency_section(Json& results, int ops) {
   print_banner(
       "E23a: denial latency under a WAN partition",
       "Sim-time cost of one denied remote operation. A closed breaker "
@@ -91,7 +91,7 @@ void denial_latency_section(int ops) {
 
   Table table({"phase", "ops", "mean-denial-ms", "denied-link",
                "denied-breaker"});
-  JsonValue series = JsonValue::array();
+  Json series = Json::array();
 
   // Phase 1: breaker disabled (huge threshold) — every op exhausts its
   // retry budget against the dead link.
@@ -112,10 +112,10 @@ void denial_latency_section(int ops) {
                    common::strformat("%.3f", mean_ms),
                    std::to_string(rig.fed.stats().denied_link),
                    std::to_string(rig.fed.stats().denied_breaker)});
-    JsonValue row = JsonValue::object();
-    row.set("phase", JsonValue::str("retry_exhausted"));
-    row.set("ops", JsonValue::integer(ops));
-    row.set("mean_denial_ms", JsonValue::number(mean_ms));
+    Json row = Json::object();
+    row.set("phase", "retry_exhausted");
+    row.set("ops", ops);
+    row.set("mean_denial_ms", mean_ms);
     series.push(std::move(row));
   }
 
@@ -140,21 +140,21 @@ void denial_latency_section(int ops) {
                    common::strformat("%.3f", mean_ms),
                    std::to_string(rig.fed.stats().denied_link),
                    std::to_string(rig.fed.stats().denied_breaker)});
-    JsonValue row = JsonValue::object();
-    row.set("phase", JsonValue::str("breaker_open"));
-    row.set("ops", JsonValue::integer(ops));
-    row.set("mean_denial_ms", JsonValue::number(mean_ms));
+    Json row = Json::object();
+    row.set("phase", "breaker_open");
+    row.set("ops", ops);
+    row.set("mean_denial_ms", mean_ms);
     series.push(std::move(row));
   }
   table.print();
-  JsonReport::instance().set("denial_latency", std::move(series));
+  results.set("denial_latency", std::move(series));
 }
 
 // ---------------------------------------------------------------------------
 // Retry amplification under loss.
 // ---------------------------------------------------------------------------
 
-void retry_amplification_section(int ops) {
+void retry_amplification_section(Json& results, int ops) {
   print_banner(
       "E23b: retry amplification vs link loss",
       "Exchanges actually sent per logical remote operation. Retries "
@@ -162,7 +162,7 @@ void retry_amplification_section(int ops) {
       "round trips; amplification = 1 + retries/ops.");
 
   Table table({"loss", "ops", "ok", "denied", "retries", "amplification"});
-  JsonValue series = JsonValue::array();
+  Json series = Json::array();
   for (const double loss : {0.0, 0.05, 0.2, 0.4}) {
     Rig rig;
     BenchLink link;
@@ -179,24 +179,23 @@ void retry_amplification_section(int ops) {
                    std::to_string(ok), std::to_string(st.denied_link),
                    std::to_string(st.retries),
                    common::strformat("%.3f", amp)});
-    JsonValue row = JsonValue::object();
-    row.set("loss", JsonValue::number(loss));
-    row.set("ops", JsonValue::integer(ops));
-    row.set("ok", JsonValue::integer(static_cast<std::int64_t>(ok)));
-    row.set("retries", JsonValue::integer(
-                           static_cast<std::int64_t>(st.retries)));
-    row.set("amplification", JsonValue::number(amp));
+    Json row = Json::object();
+    row.set("loss", loss);
+    row.set("ops", ops);
+    row.set("ok", ok);
+    row.set("retries", st.retries);
+    row.set("amplification", amp);
     series.push(std::move(row));
   }
   table.print();
-  JsonReport::instance().set("retry_amplification", std::move(series));
+  results.set("retry_amplification", std::move(series));
 }
 
 // ---------------------------------------------------------------------------
 // Recovery time after a partition heals.
 // ---------------------------------------------------------------------------
 
-void recovery_section(int trials) {
+void recovery_section(Json& results, int trials) {
   print_banner(
       "E23c: recovery after partition heal",
       "Sim time from link heal to first verified remote operation, per "
@@ -205,7 +204,7 @@ void recovery_section(int trials) {
       "dead one more often.");
 
   Table table({"cooldown-s", "trials", "mean-recovery-s", "max-recovery-s"});
-  JsonValue series = JsonValue::array();
+  Json series = Json::array();
   for (const std::int64_t cooldown :
        {common::kSecond, 5 * common::kSecond, 30 * common::kSecond}) {
     double sum_s = 0.0, max_s = 0.0;
@@ -247,15 +246,15 @@ void recovery_section(int trials) {
                    std::to_string(trials),
                    common::strformat("%.2f", mean_s),
                    common::strformat("%.2f", max_s)});
-    JsonValue row = JsonValue::object();
-    row.set("cooldown_s", JsonValue::number(cooldown / 1e9));
-    row.set("trials", JsonValue::integer(trials));
-    row.set("mean_recovery_s", JsonValue::number(mean_s));
-    row.set("max_recovery_s", JsonValue::number(max_s));
+    Json row = Json::object();
+    row.set("cooldown_s", cooldown / 1e9);
+    row.set("trials", trials);
+    row.set("mean_recovery_s", mean_s);
+    row.set("max_recovery_s", max_s);
     series.push(std::move(row));
   }
   table.print();
-  JsonReport::instance().set("recovery", std::move(series));
+  results.set("recovery", std::move(series));
   std::printf(
       "\nDenials cost milliseconds while the breaker is closed and "
       "nothing once it opens; loss is paid for in retry amplification, "
@@ -269,20 +268,17 @@ void recovery_section(int trials) {
 }  // namespace heus::bench
 
 int main(int argc, char** argv) {
-  using heus::bench::JsonReport;
-  using heus::bench::JsonValue;
   const bool smoke = heus::bench::has_flag(argc, argv, "--smoke");
   const int ops = smoke ? 50 : 2000;
   const int trials = smoke ? 3 : 20;
 
-  heus::bench::denial_latency_section(ops);
-  heus::bench::retry_amplification_section(ops);
-  heus::bench::recovery_section(trials);
+  heus::common::Json results = heus::common::Json::object();
+  heus::bench::denial_latency_section(results, ops);
+  heus::bench::retry_amplification_section(results, ops);
+  heus::bench::recovery_section(results, trials);
 
-  JsonReport::instance().set("smoke", JsonValue::boolean(smoke));
-  if (auto path = heus::bench::json_output_path(argc, argv,
-                                                "BENCH_E23.json")) {
-    return JsonReport::instance().write("E23", *path) ? 0 : 1;
-  }
-  return 0;
+  results.set("smoke", smoke);
+  const auto path = heus::common::json_flag(argc, argv, "BENCH_E23.json");
+  if (!path) return 0;
+  return heus::bench::write_report("E23", std::move(results), *path) ? 0 : 1;
 }

@@ -30,7 +30,6 @@
 #include <string>
 #include <vector>
 
-#include "bench/common/json.h"
 #include "bench/common/table.h"
 #include "common/clock.h"
 #include "common/rng.h"
@@ -71,6 +70,7 @@ void operator delete[](void* p, std::size_t) noexcept { std::free(p); }
 namespace heus::bench {
 namespace {
 
+using common::Json;
 using common::kSecond;
 
 struct Window {
@@ -121,7 +121,7 @@ simos::Credentials plain_user(std::uint32_t uid) {
 // half are left for TTL GC (exercising the expiry heap sweep).
 // ---------------------------------------------------------------------------
 
-void flow_churn_section(bool smoke) {
+void flow_churn_section(Json& results, bool smoke) {
   print_banner(
       "E26a: flow admission/teardown churn (steady state)",
       "Per-op heap traffic of the connect/send/recv/close/gc cycle after "
@@ -176,14 +176,11 @@ void flow_churn_section(bool smoke) {
                                      static_cast<double>(ops))});
   table.print();
 
-  JsonReport::instance().set("flow_churn_ops", JsonValue::integer(ops));
-  JsonReport::instance().set("alloc_flow_churn_allocs",
-                             JsonValue::integer(w.allocs));
-  JsonReport::instance().set("alloc_flow_churn_bytes",
-                             JsonValue::integer(w.bytes));
-  JsonReport::instance().set("flow_churn_wall_ns_per_op",
-                             JsonValue::number(static_cast<double>(w.wall_ns) /
-                                               static_cast<double>(ops)));
+  results.set("flow_churn_ops", ops);
+  results.set("alloc_flow_churn_allocs", w.allocs);
+  results.set("alloc_flow_churn_bytes", w.bytes);
+  results.set("flow_churn_wall_ns_per_op",
+              static_cast<double>(w.wall_ns) / static_cast<double>(ops));
 }
 
 // ---------------------------------------------------------------------------
@@ -192,7 +189,7 @@ void flow_churn_section(bool smoke) {
 // maintenance + job-table bookkeeping.
 // ---------------------------------------------------------------------------
 
-void placement_section(bool smoke) {
+void placement_section(Json& results, bool smoke) {
   print_banner(
       "E26b: placement rounds over a saturating whole-node stream",
       "Heap traffic of submit+dispatch+finish at fleet scale. Candidate "
@@ -278,20 +275,14 @@ void placement_section(bool smoke) {
                                      static_cast<double>(attempts))});
   table.print();
 
-  JsonReport::instance().set("placement_nodes", JsonValue::integer(nodes));
-  JsonReport::instance().set("placement_jobs", JsonValue::integer(n_jobs));
-  JsonReport::instance().set("placement_attempts",
-                             JsonValue::integer(attempts));
-  JsonReport::instance().set("placement_nodes_examined",
-                             JsonValue::integer(examined));
-  JsonReport::instance().set("alloc_placement_allocs",
-                             JsonValue::integer(w.allocs));
-  JsonReport::instance().set("alloc_placement_bytes",
-                             JsonValue::integer(w.bytes));
-  JsonReport::instance().set(
-      "placement_wall_ns_per_attempt",
-      JsonValue::number(static_cast<double>(w.wall_ns) /
-                        static_cast<double>(attempts)));
+  results.set("placement_nodes", nodes);
+  results.set("placement_jobs", n_jobs);
+  results.set("placement_attempts", attempts);
+  results.set("placement_nodes_examined", examined);
+  results.set("alloc_placement_allocs", w.allocs);
+  results.set("alloc_placement_bytes", w.bytes);
+  results.set("placement_wall_ns_per_attempt",
+              static_cast<double>(w.wall_ns) / static_cast<double>(attempts));
 }
 
 // ---------------------------------------------------------------------------
@@ -333,7 +324,7 @@ TraceProbe trace_probe(bool enabled, std::uint64_t decisions) {
   return out;
 }
 
-void trace_section(bool smoke) {
+void trace_section(Json& results, bool smoke) {
   print_banner(
       "E26c: per-decision bytes on the trace paths",
       "The SoA ring interns label bytes in place, so the enabled path "
@@ -342,7 +333,7 @@ void trace_section(bool smoke) {
 
   const std::uint64_t decisions = smoke ? 50000 : 500000;
   Table table({"path", "decisions", "allocs", "bytes", "bytes/decision"});
-  JsonValue series = JsonValue::array();
+  Json series = Json::array();
   bool disabled_clean = true;
   std::uint64_t append_bytes = 0;
   for (const bool enabled : {false, true}) {
@@ -359,20 +350,18 @@ void trace_section(bool smoke) {
                    common::strformat("%.1f", static_cast<double>(p.bytes) /
                                                  static_cast<double>(
                                                      p.decisions))});
-    JsonValue row = JsonValue::object();
-    row.set("path", JsonValue::str(name));
-    row.set("decisions", JsonValue::integer(p.decisions));
-    row.set("allocs", JsonValue::integer(p.allocs));
-    row.set("bytes", JsonValue::integer(p.bytes));
+    Json row = Json::object();
+    row.set("path", name);
+    row.set("decisions", p.decisions);
+    row.set("allocs", p.allocs);
+    row.set("bytes", p.bytes);
     series.push(std::move(row));
   }
   table.print();
 
-  JsonReport::instance().set("trace_paths", std::move(series));
-  JsonReport::instance().set("alloc_trace_append_bytes",
-                             JsonValue::integer(append_bytes));
-  JsonReport::instance().set("trace_disabled_zero_alloc",
-                             JsonValue::boolean(disabled_clean));
+  results.set("trace_paths", std::move(series));
+  results.set("alloc_trace_append_bytes", append_bytes);
+  results.set("trace_disabled_zero_alloc", disabled_clean);
   if (!disabled_clean) {
     std::fprintf(stderr, "FAIL: disabled-mode record() allocated\n");
     std::exit(1);
@@ -385,7 +374,7 @@ void trace_section(bool smoke) {
 // deterministic, so the ratchet pins layout regressions directly.
 // ---------------------------------------------------------------------------
 
-void footprint_section() {
+void footprint_section(Json& results) {
   print_banner(
       "E26d: per-entry footprint of the scanned records",
       "Bytes per entry a GC sweep / cross-user scan / trace snapshot "
@@ -404,30 +393,26 @@ void footprint_section() {
   table.add_row({"decision (ring entry)", std::to_string(decision_record)});
   table.print();
 
-  JsonReport::instance().set("flow_record_bytes",
-                             JsonValue::integer(flow_record));
-  JsonReport::instance().set("flow_sweep_touched_bytes",
-                             JsonValue::integer(flow_sweep));
-  JsonReport::instance().set("decision_record_bytes",
-                             JsonValue::integer(decision_record));
+  results.set("flow_record_bytes", flow_record);
+  results.set("flow_sweep_touched_bytes", flow_sweep);
+  results.set("decision_record_bytes", decision_record);
 }
 
 }  // namespace
 }  // namespace heus::bench
 
 int main(int argc, char** argv) {
-  using heus::bench::JsonReport;
-  using heus::bench::JsonValue;
   const bool smoke = heus::bench::has_flag(argc, argv, "--smoke");
-  const std::string json_path =
-      heus::bench::json_output_path(argc, argv, "BENCH_E26.json")
+  const std::string path =
+      heus::common::json_flag(argc, argv, "BENCH_E26.json")
           .value_or("BENCH_E26.json");
 
-  heus::bench::flow_churn_section(smoke);
-  heus::bench::placement_section(smoke);
-  heus::bench::trace_section(smoke);
-  heus::bench::footprint_section();
+  heus::common::Json results = heus::common::Json::object();
+  heus::bench::flow_churn_section(results, smoke);
+  heus::bench::placement_section(results, smoke);
+  heus::bench::trace_section(results, smoke);
+  heus::bench::footprint_section(results);
 
-  JsonReport::instance().set("smoke", JsonValue::boolean(smoke));
-  return JsonReport::instance().write("E26", json_path) ? 0 : 1;
+  results.set("smoke", smoke);
+  return heus::bench::write_report("E26", std::move(results), path) ? 0 : 1;
 }

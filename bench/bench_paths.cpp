@@ -23,7 +23,6 @@
 #include "analyze/path_analyzer.h"
 #include "analyze/path_oracle.h"
 #include "analyze/policy_space.h"
-#include "bench/common/json.h"
 #include "bench/common/table.h"
 #include "common/strings.h"
 #include "core/policy.h"
@@ -36,6 +35,7 @@ using analyze::ChannelGraph;
 using analyze::ClusterSpec;
 using analyze::PathAnalyzer;
 using analyze::PathReport;
+using common::Json;
 
 double elapsed_ms(std::chrono::steady_clock::time_point t0,
                   std::chrono::steady_clock::time_point t1) {
@@ -45,7 +45,7 @@ double elapsed_ms(std::chrono::steady_clock::time_point t0,
          1000.0;
 }
 
-void run(bool smoke) {
+void run(Json& results, bool smoke) {
   print_banner(
       "E24: transitive escalation-path analysis cost",
       "Capability-graph build, multi-hop path enumeration, the full "
@@ -68,7 +68,7 @@ void run(bool smoke) {
   };
   Table per_policy({"policy", "nodes", "edges", "present", "paths",
                     "escalation", "build+enumerate"});
-  JsonValue policy_series = JsonValue::array();
+  Json policy_series = Json::array();
   for (const PolicyCase& pc : cases) {
     const std::vector<ClusterSpec> members = {{"a", pc.policy},
                                               {"b", pc.policy}};
@@ -100,19 +100,18 @@ void run(bool smoke) {
                         common::strformat("%zu", paths),
                         common::strformat("%zu", escalation),
                         common::strformat("%.3f ms", best_ms)});
-    JsonValue row = JsonValue::object();
-    row.set("policy", JsonValue::str(pc.name));
-    row.set("nodes", JsonValue::integer(graph.nodes().size()));
-    row.set("edges", JsonValue::integer(graph.edges().size()));
-    row.set("present_edges", JsonValue::integer(present));
-    row.set("paths", JsonValue::integer(paths));
-    row.set("escalation_paths", JsonValue::integer(escalation));
-    row.set("build_enumerate_ms", JsonValue::number(best_ms));
+    Json row = Json::object();
+    row.set("policy", pc.name);
+    row.set("nodes", graph.nodes().size());
+    row.set("edges", graph.edges().size());
+    row.set("present_edges", present);
+    row.set("paths", paths);
+    row.set("escalation_paths", escalation);
+    row.set("build_enumerate_ms", best_ms);
     policy_series.push(std::move(row));
   }
   per_policy.print();
-  JsonReport::instance().set("policies_analyzed",
-                             std::move(policy_series));
+  results.set("policies_analyzed", std::move(policy_series));
 
   // Stage 2: the exhaustive lattice sweep, as the gate runs it.
   double sweep_ms = 0;
@@ -130,17 +129,11 @@ void run(bool smoke) {
               sweep.policies, sweep.behaviour_classes, sweep_ms,
               sweep.policies_with_escalation,
               sweep.hardened_escalation_paths, sweep.max_escalation_paths);
-  JsonReport::instance().set("lattice_policies",
-                             JsonValue::integer(sweep.policies));
-  JsonReport::instance().set("behaviour_classes",
-                             JsonValue::integer(sweep.behaviour_classes));
-  JsonReport::instance().set(
-      "policies_with_escalation",
-      JsonValue::integer(sweep.policies_with_escalation));
-  JsonReport::instance().set(
-      "hardened_escalation_paths",
-      JsonValue::integer(sweep.hardened_escalation_paths));
-  JsonReport::instance().set("sweep_ms", JsonValue::number(sweep_ms));
+  results.set("lattice_policies", sweep.policies);
+  results.set("behaviour_classes", sweep.behaviour_classes);
+  results.set("policies_with_escalation", sweep.policies_with_escalation);
+  results.set("hardened_escalation_paths", sweep.hardened_escalation_paths);
+  results.set("sweep_ms", sweep_ms);
 
   // Stage 3: the hardened mutation sweep (one ablation per knob).
   double mutation_ms = 0;
@@ -156,12 +149,9 @@ void run(bool smoke) {
   for (const auto& m : mutations) flagged += m.escalation_paths > 0;
   std::printf("mutation sweep: %zu ablations (%zu flagged) in %.2f ms\n",
               mutations.size(), flagged, mutation_ms);
-  JsonReport::instance().set("mutations",
-                             JsonValue::integer(mutations.size()));
-  JsonReport::instance().set("mutations_flagged",
-                             JsonValue::integer(flagged));
-  JsonReport::instance().set("mutation_sweep_ms",
-                             JsonValue::number(mutation_ms));
+  results.set("mutations", mutations.size());
+  results.set("mutations_flagged", flagged);
+  results.set("mutation_sweep_ms", mutation_ms);
 
   // Stage 4: minimal-cut search on the baseline escalation set — the
   // hardest instance the gate ever solves (every path open at once).
@@ -185,11 +175,9 @@ void run(bool smoke) {
   std::printf("baseline minimal cut: %zu paths severed by %zu knob(s) in "
               "%.2f ms\n",
               baseline_escalation.size(), cut.size(), cut_ms);
-  JsonReport::instance().set("baseline_escalation_paths",
-                             JsonValue::integer(baseline_escalation.size()));
-  JsonReport::instance().set("minimal_cut_size",
-                             JsonValue::integer(cut.size()));
-  JsonReport::instance().set("minimal_cut_ms", JsonValue::number(cut_ms));
+  results.set("baseline_escalation_paths", baseline_escalation.size());
+  results.set("minimal_cut_size", cut.size());
+  results.set("minimal_cut_ms", cut_ms);
 
   // Stage 5: the dead-knob lint (runs a live enforcement census, so it
   // dominates the static side — priced here so CI regressions show up).
@@ -203,11 +191,9 @@ void run(bool smoke) {
   }
   std::printf("dead-knob lint: %zu knobs, %zu finding(s) in %.2f ms\n",
               lint.knobs.size(), lint.findings.size(), lint_ms);
-  JsonReport::instance().set("lint_knobs",
-                             JsonValue::integer(lint.knobs.size()));
-  JsonReport::instance().set("lint_findings",
-                             JsonValue::integer(lint.findings.size()));
-  JsonReport::instance().set("lint_ms", JsonValue::number(lint_ms));
+  results.set("lint_knobs", lint.knobs.size());
+  results.set("lint_findings", lint.findings.size());
+  results.set("lint_ms", lint_ms);
 
   // Stage 6: one healthy hardened/hardened oracle run — the dynamic
   // price of one differential confirmation of the static claims.
@@ -227,30 +213,26 @@ void run(bool smoke) {
               "cross-cluster), %zu agreed, in %.2f ms\n",
               oracle.trials.size(), oracle.multi_hop_count,
               oracle.cross_cluster_count, oracle.agree_count, oracle_ms);
-  JsonReport::instance().set("oracle_trials",
-                             JsonValue::integer(oracle.trials.size()));
-  JsonReport::instance().set("oracle_agreed",
-                             JsonValue::integer(oracle.agree_count));
-  JsonReport::instance().set("oracle_multi_hop",
-                             JsonValue::integer(oracle.multi_hop_count));
-  JsonReport::instance().set("oracle_ms", JsonValue::number(oracle_ms));
+  results.set("oracle_trials", oracle.trials.size());
+  results.set("oracle_agreed", oracle.agree_count);
+  results.set("oracle_multi_hop", oracle.multi_hop_count);
+  results.set("oracle_ms", oracle_ms);
 
-  JsonReport::instance().set("lattice_size", JsonValue::integer(policies));
+  results.set("lattice_size", policies);
 }
 
 }  // namespace
 }  // namespace heus::bench
 
 int main(int argc, char** argv) {
-  using heus::bench::JsonReport;
-  using heus::bench::JsonValue;
   const bool smoke = heus::bench::has_flag(argc, argv, "--smoke");
-  const std::string json_path =
-      heus::bench::json_output_path(argc, argv, "BENCH_E24.json")
+  const std::string path =
+      heus::common::json_flag(argc, argv, "BENCH_E24.json")
           .value_or("BENCH_E24.json");
 
-  heus::bench::run(smoke);
+  heus::common::Json results = heus::common::Json::object();
+  heus::bench::run(results, smoke);
 
-  JsonReport::instance().set("smoke", JsonValue::boolean(smoke));
-  return JsonReport::instance().write("E24", json_path) ? 0 : 1;
+  results.set("smoke", smoke);
+  return heus::bench::write_report("E24", std::move(results), path) ? 0 : 1;
 }

@@ -17,7 +17,6 @@
 
 #include "analyze/policy_space.h"
 #include "analyze/reachability.h"
-#include "bench/common/json.h"
 #include "bench/common/table.h"
 #include "common/strings.h"
 
@@ -27,6 +26,7 @@ namespace {
 using analyze::MachineStats;
 using analyze::ReachabilityChecker;
 using analyze::ReachReport;
+using common::Json;
 
 double elapsed_ms(std::chrono::steady_clock::time_point t0,
                   std::chrono::steady_clock::time_point t1) {
@@ -36,7 +36,7 @@ double elapsed_ms(std::chrono::steady_clock::time_point t0,
          1000.0;
 }
 
-void run(bool smoke) {
+void run(Json& results, bool smoke) {
   print_banner(
       "E22: lifecycle reachability model-checking cost",
       "Exhaustive (state, event, guard-outcome) sweep of the six "
@@ -52,7 +52,7 @@ void run(bool smoke) {
   Table per_machine({"machine", "states", "events", "transitions",
                      "state-event-policy space", "fired triples",
                      "signature classes", "sweep"});
-  JsonValue machine_series = JsonValue::array();
+  Json machine_series = Json::array();
   for (const lifecycle::MachineDef* def : analyze::lifecycle_machines()) {
     double best_ms = 0;
     ReachReport report;
@@ -75,20 +75,20 @@ void run(bool smoke) {
                            static_cast<unsigned long long>(m.triples)),
          common::strformat("%zu", m.signature_classes),
          common::strformat("%.2f ms", best_ms)});
-    JsonValue row = JsonValue::object();
-    row.set("machine", JsonValue::str(m.machine));
-    row.set("states", JsonValue::integer(m.states));
-    row.set("events", JsonValue::integer(def->events.size()));
-    row.set("transitions", JsonValue::integer(m.transitions));
-    row.set("state_event_policy_space", JsonValue::integer(space));
-    row.set("fired_triples", JsonValue::integer(m.triples));
-    row.set("signature_classes", JsonValue::integer(m.signature_classes));
-    row.set("sweep_ms", JsonValue::number(best_ms));
-    row.set("findings", JsonValue::integer(report.findings.size()));
+    Json row = Json::object();
+    row.set("machine", m.machine);
+    row.set("states", m.states);
+    row.set("events", def->events.size());
+    row.set("transitions", m.transitions);
+    row.set("state_event_policy_space", space);
+    row.set("fired_triples", m.triples);
+    row.set("signature_classes", m.signature_classes);
+    row.set("sweep_ms", best_ms);
+    row.set("findings", report.findings.size());
     machine_series.push(std::move(row));
   }
   per_machine.print();
-  JsonReport::instance().set("machines", std::move(machine_series));
+  results.set("machines", std::move(machine_series));
 
   // The gate itself: all six tables in one lattice pass, as heus-lint
   // --reach runs it.
@@ -107,28 +107,25 @@ void run(bool smoke) {
               static_cast<unsigned long long>(shipped.triples_total()),
               shipped.findings.size());
 
-  JsonReport::instance().set("policies", JsonValue::integer(policies));
-  JsonReport::instance().set("gate_sweep_ms", JsonValue::number(gate_ms));
-  JsonReport::instance().set("triples_total",
-                             JsonValue::integer(shipped.triples_total()));
-  JsonReport::instance().set("violations",
-                             JsonValue::integer(shipped.findings.size()));
-  JsonReport::instance().set("clean", JsonValue::boolean(shipped.clean()));
+  results.set("policies", policies);
+  results.set("gate_sweep_ms", gate_ms);
+  results.set("triples_total", shipped.triples_total());
+  results.set("violations", shipped.findings.size());
+  results.set("clean", shipped.clean());
 }
 
 }  // namespace
 }  // namespace heus::bench
 
 int main(int argc, char** argv) {
-  using heus::bench::JsonReport;
-  using heus::bench::JsonValue;
   const bool smoke = heus::bench::has_flag(argc, argv, "--smoke");
-  const std::string json_path =
-      heus::bench::json_output_path(argc, argv, "BENCH_E22.json")
+  const std::string path =
+      heus::common::json_flag(argc, argv, "BENCH_E22.json")
           .value_or("BENCH_E22.json");
 
-  heus::bench::run(smoke);
+  heus::common::Json results = heus::common::Json::object();
+  heus::bench::run(results, smoke);
 
-  JsonReport::instance().set("smoke", JsonValue::boolean(smoke));
-  return JsonReport::instance().write("E22", json_path) ? 0 : 1;
+  results.set("smoke", smoke);
+  return heus::bench::write_report("E22", std::move(results), path) ? 0 : 1;
 }

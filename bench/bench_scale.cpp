@@ -20,7 +20,6 @@
 #include <string>
 #include <vector>
 
-#include "bench/common/json.h"
 #include "bench/common/table.h"
 #include "bench/common/workloads.h"
 #include "common/clock.h"
@@ -32,6 +31,7 @@
 namespace heus::bench {
 namespace {
 
+using common::Json;
 using common::kSecond;
 using sched::SharingPolicy;
 
@@ -110,7 +110,7 @@ GcProbe conntrack_gc_probe(unsigned n_flows) {
   return out;
 }
 
-void conntrack_section(bool smoke) {
+void conntrack_section(Json& results, bool smoke) {
   print_banner(
       "E20a: conntrack GC work vs. live-flow count",
       "Expiry-heap sweeps touch only due entries; the replaced "
@@ -121,23 +121,23 @@ void conntrack_section(bool smoke) {
             : std::vector<unsigned>{10000, 100000};
   Table table({"live-flows", "expired", "entries-touched",
                "full-scan-cost", "reduction"});
-  JsonValue series = JsonValue::array();
+  Json series = Json::array();
   for (unsigned n : sizes) {
     const GcProbe p = conntrack_gc_probe(n);
     table.add_row({std::to_string(p.flows), std::to_string(p.expired),
                    std::to_string(p.touched),
                    std::to_string(p.full_scan_cost),
                    common::strformat("%.1fx", p.reduction)});
-    JsonValue row = JsonValue::object();
-    row.set("live_flows", JsonValue::integer(p.flows));
-    row.set("expired", JsonValue::integer(p.expired));
-    row.set("entries_touched", JsonValue::integer(p.touched));
-    row.set("full_scan_cost", JsonValue::integer(p.full_scan_cost));
-    row.set("reduction_x", JsonValue::number(p.reduction));
+    Json row = Json::object();
+    row.set("live_flows", p.flows);
+    row.set("expired", p.expired);
+    row.set("entries_touched", p.touched);
+    row.set("full_scan_cost", p.full_scan_cost);
+    row.set("reduction_x", p.reduction);
     series.push(std::move(row));
   }
   table.print();
-  JsonReport::instance().set("conntrack_gc", std::move(series));
+  results.set("conntrack_gc", std::move(series));
 }
 
 // ---------------------------------------------------------------------------
@@ -236,7 +236,7 @@ CacheProbe ubf_cache_probe(double churn, unsigned decisions,
   return out;
 }
 
-void ubf_cache_section(bool smoke) {
+void ubf_cache_section(Json& results, bool smoke) {
   print_banner(
       "E20b: UBF admission-cache hit rate vs. account-db churn",
       "Epoch invalidation clears the whole cache on any UserDb mutation "
@@ -246,7 +246,7 @@ void ubf_cache_section(bool smoke) {
   const unsigned decisions = smoke ? 20000 : 200000;
   Table table({"churn-per-decision", "decisions", "hits", "misses",
                "invalidations", "hit-rate"});
-  JsonValue series = JsonValue::array();
+  Json series = Json::array();
   std::uint64_t seed = 0xe20cac4e;
   for (double churn : {0.0, 0.001, 0.01, 0.1}) {
     const CacheProbe p = ubf_cache_probe(churn, decisions, seed++);
@@ -255,17 +255,17 @@ void ubf_cache_section(bool smoke) {
                    std::to_string(p.misses),
                    std::to_string(p.invalidations),
                    common::strformat("%.3f", p.hit_rate)});
-    JsonValue row = JsonValue::object();
-    row.set("churn_per_decision", JsonValue::number(p.churn));
-    row.set("decisions", JsonValue::integer(p.decisions));
-    row.set("cache_hits", JsonValue::integer(p.hits));
-    row.set("cache_misses", JsonValue::integer(p.misses));
-    row.set("cache_invalidations", JsonValue::integer(p.invalidations));
-    row.set("hit_rate", JsonValue::number(p.hit_rate));
+    Json row = Json::object();
+    row.set("churn_per_decision", p.churn);
+    row.set("decisions", p.decisions);
+    row.set("cache_hits", p.hits);
+    row.set("cache_misses", p.misses);
+    row.set("cache_invalidations", p.invalidations);
+    row.set("hit_rate", p.hit_rate);
     series.push(std::move(row));
   }
   table.print();
-  JsonReport::instance().set("ubf_cache", std::move(series));
+  results.set("ubf_cache", std::move(series));
 }
 
 // ---------------------------------------------------------------------------
@@ -371,7 +371,7 @@ PlacementProbe placement_probe(SharingPolicy policy, unsigned nodes,
   return out;
 }
 
-void placement_section(bool smoke) {
+void placement_section(Json& results, bool smoke) {
   print_banner(
       "E20c: placement work vs. fleet size (saturated queue)",
       "Candidate-set indices examine eligible nodes only; the replaced "
@@ -388,7 +388,7 @@ void placement_section(bool smoke) {
   Table table({"nodes", "policy", "attempts", "failures",
                "nodes-examined", "old-scan-cost-lb", "speedup",
                "utilization", "completed"});
-  JsonValue series = JsonValue::array();
+  Json series = Json::array();
   for (unsigned nodes : fleets) {
     const auto jobs = make_saturating(nodes, kCpus, kUsers);
     for (auto policy :
@@ -403,38 +403,37 @@ void placement_section(bool smoke) {
                      common::strformat("%.1fx", p.speedup),
                      common::strformat("%.3f", p.utilization),
                      std::to_string(p.completed)});
-      JsonValue row = JsonValue::object();
-      row.set("nodes", JsonValue::integer(p.nodes));
-      row.set("policy", JsonValue::str(sched::to_string(policy)));
-      row.set("placement_attempts", JsonValue::integer(p.attempts));
-      row.set("placement_failures", JsonValue::integer(p.failures));
-      row.set("nodes_examined", JsonValue::integer(p.examined));
-      row.set("old_scan_cost_lb", JsonValue::integer(p.old_cost_lb));
-      row.set("speedup_x", JsonValue::number(p.speedup));
-      row.set("utilization", JsonValue::number(p.utilization));
-      row.set("completed", JsonValue::integer(p.completed));
+      Json row = Json::object();
+      row.set("nodes", p.nodes);
+      row.set("policy", sched::to_string(policy));
+      row.set("placement_attempts", p.attempts);
+      row.set("placement_failures", p.failures);
+      row.set("nodes_examined", p.examined);
+      row.set("old_scan_cost_lb", p.old_cost_lb);
+      row.set("speedup_x", p.speedup);
+      row.set("utilization", p.utilization);
+      row.set("completed", p.completed);
       series.push(std::move(row));
     }
   }
   table.print();
-  JsonReport::instance().set("placement", std::move(series));
+  results.set("placement", std::move(series));
 }
 
 }  // namespace
 }  // namespace heus::bench
 
 int main(int argc, char** argv) {
-  using heus::bench::JsonReport;
-  using heus::bench::JsonValue;
   const bool smoke = heus::bench::has_flag(argc, argv, "--smoke");
-  const std::string json_path =
-      heus::bench::json_output_path(argc, argv, "BENCH_E20.json")
+  const std::string path =
+      heus::common::json_flag(argc, argv, "BENCH_E20.json")
           .value_or("BENCH_E20.json");
 
-  heus::bench::conntrack_section(smoke);
-  heus::bench::ubf_cache_section(smoke);
-  heus::bench::placement_section(smoke);
+  heus::common::Json results = heus::common::Json::object();
+  heus::bench::conntrack_section(results, smoke);
+  heus::bench::ubf_cache_section(results, smoke);
+  heus::bench::placement_section(results, smoke);
 
-  JsonReport::instance().set("smoke", JsonValue::boolean(smoke));
-  return JsonReport::instance().write("E20", json_path) ? 0 : 1;
+  results.set("smoke", smoke);
+  return heus::bench::write_report("E20", std::move(results), path) ? 0 : 1;
 }

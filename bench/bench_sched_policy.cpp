@@ -13,7 +13,6 @@
 // user-whole-node).
 #include <limits>
 
-#include "bench/common/json.h"
 #include "bench/common/table.h"
 #include "bench/common/workloads.h"
 #include "common/histogram.h"
@@ -23,6 +22,7 @@
 namespace heus::bench {
 namespace {
 
+using common::Json;
 using common::kSecond;
 using sched::SharingPolicy;
 
@@ -99,7 +99,7 @@ RunResult run_workload(SharingPolicy policy,
   return out;
 }
 
-void policy_sweep() {
+void policy_sweep(Json& results) {
   print_banner(
       "E3: node-sharing policy sweep (paper §IV-B)",
       "Claim: exclusive isolates but wastes capacity on small-job "
@@ -137,10 +137,10 @@ void policy_sweep() {
     }
   }
   table.print();
-  JsonReport::instance().add_table("policy_sweep", table);
+  results.set("policy_sweep", table_to_json(table));
 }
 
-void user_count_sensitivity() {
+void user_count_sensitivity(Json& results) {
   print_banner(
       "E3b: whole-node penalty vs. active-user count",
       "Ablation: user-whole-node approaches shared as per-user job streams "
@@ -165,10 +165,10 @@ void user_count_sensitivity() {
     }
   }
   table.print();
-  JsonReport::instance().add_table("user_count_sensitivity", table);
+  results.set("user_count_sensitivity", table_to_json(table));
 }
 
-void backfill_ablation() {
+void backfill_ablation(Json& results) {
   print_banner(
       "E3c: backfill ablation",
       "EASY backfill recovers capacity behind blocked wide jobs under "
@@ -231,19 +231,18 @@ void backfill_ablation() {
     }
   }
   table.print();
-  JsonReport::instance().add_table("backfill_ablation", table);
+  results.set("backfill_ablation", table_to_json(table));
 }
 
 }  // namespace
 }  // namespace heus::bench
 
 int main(int argc, char** argv) {
-  heus::bench::policy_sweep();
-  heus::bench::user_count_sensitivity();
-  heus::bench::backfill_ablation();
-  if (const auto path = heus::bench::json_output_path(argc, argv,
-                                                      "BENCH_E3.json")) {
-    return heus::bench::JsonReport::instance().write("E3", *path) ? 0 : 1;
-  }
-  return 0;
+  heus::common::Json results = heus::common::Json::object();
+  heus::bench::policy_sweep(results);
+  heus::bench::user_count_sensitivity(results);
+  heus::bench::backfill_ablation(results);
+  const auto path = heus::common::json_flag(argc, argv, "BENCH_E3.json");
+  if (!path) return 0;
+  return heus::bench::write_report("E3", std::move(results), *path) ? 0 : 1;
 }

@@ -26,7 +26,6 @@
 #include <string>
 #include <vector>
 
-#include "bench/common/json.h"
 #include "bench/common/table.h"
 #include "bench/common/workloads.h"
 #include "common/clock.h"
@@ -41,6 +40,7 @@
 namespace heus::bench {
 namespace {
 
+using common::Json;
 using common::kSecond;
 
 struct Sizes {
@@ -202,7 +202,8 @@ ScaleRun engine_run(const Sizes& sz, std::uint32_t groups, unsigned workers,
   return out;
 }
 
-void worker_sweep_section(const Sizes& sz, const simos::UserDb& db,
+void worker_sweep_section(Json& results, const Sizes& sz,
+                          const simos::UserDb& db,
                           const std::vector<simos::Credentials>& active,
                           const simos::Credentials& wanderer) {
   print_banner(
@@ -213,7 +214,7 @@ void worker_sweep_section(const Sizes& sz, const simos::UserDb& db,
   Table table({"workers", "groups", "work-ms", "span-ms", "speedup",
                "established", "ubf-decisions", "cross-ops", "jobs",
                "digest"});
-  JsonValue series = JsonValue::array();
+  Json series = Json::array();
   std::uint64_t digest0 = 0;
   bool digest_stable = true;
   for (const unsigned workers : {1u, 2u, 4u, 8u, 16u}) {
@@ -230,28 +231,28 @@ void worker_sweep_section(const Sizes& sz, const simos::UserDb& db,
          std::to_string(r.cross_ops), std::to_string(r.jobs_submitted),
          common::strformat("%016llx",
                            static_cast<unsigned long long>(r.digest))});
-    JsonValue row = JsonValue::object();
-    row.set("workers", JsonValue::integer(r.workers));
-    row.set("groups", JsonValue::integer(r.groups));
-    row.set("total_work_ns", JsonValue::integer(r.total_work_ns));
-    row.set("modeled_span_ns", JsonValue::integer(r.modeled_span_ns));
-    row.set("speedup_x", JsonValue::number(r.speedup));
-    row.set("established", JsonValue::integer(r.established));
-    row.set("ubf_decisions", JsonValue::integer(r.ubf_decisions));
-    row.set("cross_ops", JsonValue::integer(r.cross_ops));
-    row.set("jobs_submitted", JsonValue::integer(r.jobs_submitted));
-    row.set("digest", JsonValue::str(common::strformat(
+    Json row = Json::object();
+    row.set("workers", r.workers);
+    row.set("groups", r.groups);
+    row.set("total_work_ns", r.total_work_ns);
+    row.set("modeled_span_ns", r.modeled_span_ns);
+    row.set("speedup_x", r.speedup);
+    row.set("established", r.established);
+    row.set("ubf_decisions", r.ubf_decisions);
+    row.set("cross_ops", r.cross_ops);
+    row.set("jobs_submitted", r.jobs_submitted);
+    row.set("digest", common::strformat(
                           "%016llx",
-                          static_cast<unsigned long long>(r.digest))));
+                          static_cast<unsigned long long>(r.digest)));
     series.push(std::move(row));
   }
   table.print();
-  JsonReport::instance().set("worker_sweep", std::move(series));
-  JsonReport::instance().set("digest_stable",
-                             JsonValue::boolean(digest_stable));
+  results.set("worker_sweep", std::move(series));
+  results.set("digest_stable", digest_stable);
 }
 
-void group_sweep_section(const Sizes& sz, const simos::UserDb& db,
+void group_sweep_section(Json& results, const Sizes& sz,
+                         const simos::UserDb& db,
                          const std::vector<simos::Credentials>& active,
                          const simos::Credentials& wanderer) {
   print_banner(
@@ -261,34 +262,32 @@ void group_sweep_section(const Sizes& sz, const simos::UserDb& db,
       "construction, and headroom grows with the partition grain.");
 
   Table table({"groups", "workers", "work-ms", "span-ms", "speedup"});
-  JsonValue series = JsonValue::array();
+  Json series = Json::array();
   for (const std::uint32_t groups : {1u, 2u, 4u, 8u}) {
     const ScaleRun r = engine_run(sz, groups, 8, db, active, wanderer);
     table.add_row({std::to_string(r.groups), std::to_string(r.workers),
                    common::strformat("%.1f", r.total_work_ns / 1e6),
                    common::strformat("%.1f", r.modeled_span_ns / 1e6),
                    common::strformat("%.2fx", r.speedup)});
-    JsonValue row = JsonValue::object();
-    row.set("groups", JsonValue::integer(r.groups));
-    row.set("workers", JsonValue::integer(r.workers));
-    row.set("total_work_ns", JsonValue::integer(r.total_work_ns));
-    row.set("modeled_span_ns", JsonValue::integer(r.modeled_span_ns));
-    row.set("speedup_x", JsonValue::number(r.speedup));
+    Json row = Json::object();
+    row.set("groups", r.groups);
+    row.set("workers", r.workers);
+    row.set("total_work_ns", r.total_work_ns);
+    row.set("modeled_span_ns", r.modeled_span_ns);
+    row.set("speedup_x", r.speedup);
     series.push(std::move(row));
   }
   table.print();
-  JsonReport::instance().set("group_sweep", std::move(series));
+  results.set("group_sweep", std::move(series));
 }
 
 }  // namespace
 }  // namespace heus::bench
 
 int main(int argc, char** argv) {
-  using heus::bench::JsonReport;
-  using heus::bench::JsonValue;
   const bool smoke = heus::bench::has_flag(argc, argv, "--smoke");
-  const std::string json_path =
-      heus::bench::json_output_path(argc, argv, "BENCH_E25.json")
+  const std::string path =
+      heus::common::json_flag(argc, argv, "BENCH_E25.json")
           .value_or("BENCH_E25.json");
   const heus::bench::Sizes sz =
       smoke ? heus::bench::smoke_sizes() : heus::bench::full_sizes();
@@ -309,12 +308,12 @@ int main(int argc, char** argv) {
   const auto wanderer =
       *heus::simos::login(db, *db.create_user("wanderer"));
 
-  heus::bench::worker_sweep_section(sz, db, active, wanderer);
-  heus::bench::group_sweep_section(sz, db, active, wanderer);
+  heus::common::Json results = heus::common::Json::object();
+  heus::bench::worker_sweep_section(results, sz, db, active, wanderer);
+  heus::bench::group_sweep_section(results, sz, db, active, wanderer);
 
-  JsonReport::instance().set("hosts",
-                             JsonValue::integer(sz.hosts));
-  JsonReport::instance().set("users", JsonValue::integer(sz.users + 1));
-  JsonReport::instance().set("smoke", JsonValue::boolean(smoke));
-  return JsonReport::instance().write("E25", json_path) ? 0 : 1;
+  results.set("hosts", sz.hosts);
+  results.set("users", sz.users + 1);
+  results.set("smoke", smoke);
+  return heus::bench::write_report("E25", std::move(results), path) ? 0 : 1;
 }

@@ -13,7 +13,6 @@
 #include "analyze/analyzer.h"
 #include "analyze/policy_space.h"
 #include "analyze/report.h"
-#include "bench/common/json.h"
 #include "bench/common/table.h"
 #include "common/strings.h"
 #include "core/audit.h"
@@ -21,6 +20,7 @@
 namespace heus::bench {
 namespace {
 
+using common::Json;
 using core::Cluster;
 using core::ClusterConfig;
 using core::LeakageAuditor;
@@ -50,7 +50,7 @@ std::string fmt_ns(double ns) {
   return common::strformat("%.0f ns", ns);
 }
 
-void static_vs_dynamic() {
+void static_vs_dynamic(Json& results) {
   print_banner(
       "E17: static analysis vs dynamic audit latency",
       "One full 18-channel census per policy. The static path derives "
@@ -126,12 +126,12 @@ void static_vs_dynamic() {
   const double e2e_ns = elapsed_ns(e0, e1) / static_cast<double>(kDynamicReps);
 
   Table table({"path", "census latency", "vs static verdicts"});
-  JsonValue series = JsonValue::array();
+  Json series = Json::array();
   auto add_path = [&series](const char* path, double ns, double ratio) {
-    JsonValue row = JsonValue::object();
-    row.set("path", JsonValue::str(path));
-    row.set("census_ns", JsonValue::number(ns));
-    row.set("vs_static_verdicts_x", JsonValue::number(ratio));
+    Json row = Json::object();
+    row.set("path", path);
+    row.set("census_ns", ns);
+    row.set("vs_static_verdicts_x", ratio);
     series.push(std::move(row));
   };
   add_path("static_verdicts", verdict_census_ns, 1.0);
@@ -159,23 +159,19 @@ void static_vs_dynamic() {
       "dynamic end-to-end\n",
       1e9 / static_ns, 1e9 / e2e_ns);
 
-  JsonReport::instance().set("latency", std::move(series));
-  JsonReport::instance().set("sweep_policies",
-                             JsonValue::integer(sweep.size()));
-  JsonReport::instance().set("static_censuses_per_sec",
-                             JsonValue::number(1e9 / static_ns));
-  JsonReport::instance().set("dynamic_e2e_per_sec",
-                             JsonValue::number(1e9 / e2e_ns));
+  results.set("latency", std::move(series));
+  results.set("sweep_policies", sweep.size());
+  results.set("static_censuses_per_sec", 1e9 / static_ns);
+  results.set("dynamic_e2e_per_sec", 1e9 / e2e_ns);
 }
 
 }  // namespace
 }  // namespace heus::bench
 
 int main(int argc, char** argv) {
-  heus::bench::static_vs_dynamic();
-  if (auto path = heus::bench::json_output_path(argc, argv,
-                                                "BENCH_E17.json")) {
-    return heus::bench::JsonReport::instance().write("E17", *path) ? 0 : 1;
-  }
-  return 0;
+  heus::common::Json results = heus::common::Json::object();
+  heus::bench::static_vs_dynamic(results);
+  const auto path = heus::common::json_flag(argc, argv, "BENCH_E17.json");
+  if (!path) return 0;
+  return heus::bench::write_report("E17", std::move(results), *path) ? 0 : 1;
 }

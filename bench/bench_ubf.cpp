@@ -12,7 +12,6 @@
 // new-connection-only design avoids.
 #include <benchmark/benchmark.h>
 
-#include "bench/common/json.h"
 #include "bench/common/table.h"
 #include "common/strings.h"
 #include "net/ubf.h"
@@ -20,6 +19,7 @@
 namespace heus::bench {
 namespace {
 
+using common::Json;
 using simos::Credentials;
 
 struct NetWorld {
@@ -102,7 +102,7 @@ void BM_EstablishedSend(benchmark::State& state) {
 
 BENCHMARK(BM_EstablishedSend)->Arg(0)->Arg(1);
 
-void decision_matrix() {
+void decision_matrix(Json& results) {
   print_banner(
       "E5: UBF decision matrix (paper §IV-D + appendix ruleset)",
       "Connection allowed iff same user, or connector is a member of the "
@@ -138,10 +138,10 @@ void decision_matrix() {
   attempt("user2 (proj member)", world.users[2], 5001, "user0",
           "widgets");
   table.print();
-  JsonReport::instance().add_table("decision_matrix", table);
+  results.set("decision_matrix", table_to_json(table));
 }
 
-void latency_budget() {
+void latency_budget(Json& results) {
   print_banner(
       "E5b: simulated connection latency budget",
       "Per-connection cost decomposition; established-path cost is "
@@ -172,7 +172,7 @@ void latency_budget() {
                    std::to_string(world.nw.stats().conntrack_hits)});
   }
   table.print();
-  JsonReport::instance().add_table("latency_budget", table);
+  results.set("latency_budget", table_to_json(table));
 
   print_banner(
       "E5c: strawman ablation — per-packet userspace firewall",
@@ -192,10 +192,10 @@ void latency_budget() {
               common::strformat("%.3f", slow / 1000.0),
               common::strformat("%.2fx", slow / fast)});
   t2.print();
-  JsonReport::instance().add_table("per_packet_strawman", t2);
+  results.set("per_packet_strawman", table_to_json(t2));
 }
 
-void port_collision() {
+void port_collision(Json& results) {
   print_banner(
       "E9: port-collision crosstalk (paper §V reliability claim)",
       "Two users pick the same port on different nodes; a misdirected "
@@ -227,7 +227,7 @@ void port_collision() {
                    crosstalk ? "CORRUPTION" : "none"});
   }
   table.print();
-  JsonReport::instance().add_table("port_collision", table);
+  results.set("port_collision", table_to_json(table));
 }
 
 }  // namespace
@@ -235,25 +235,20 @@ void port_collision() {
 
 int main(int argc, char** argv) {
   // Stash our own flags before google-benchmark validates the rest.
-  const auto json_path =
-      heus::bench::json_output_path(argc, argv, "BENCH_E5.json");
+  const auto path = heus::common::json_flag(argc, argv, "BENCH_E5.json");
   std::vector<char*> passthrough;
   for (int i = 0; i < argc; ++i) {
-    const std::string arg = argv[i];
-    if (arg == "--json" || arg.rfind("--json=", 0) == 0) continue;
+    if (heus::common::json_flag(argv[i], "")) continue;
     passthrough.push_back(argv[i]);
   }
   int bench_argc = static_cast<int>(passthrough.size());
   benchmark::Initialize(&bench_argc, passthrough.data());
   benchmark::RunSpecifiedBenchmarks();
   benchmark::Shutdown();
-  heus::bench::decision_matrix();
-  heus::bench::latency_budget();
-  heus::bench::port_collision();
-  if (json_path) {
-    return heus::bench::JsonReport::instance().write("E5", *json_path)
-               ? 0
-               : 1;
-  }
-  return 0;
+  heus::common::Json results = heus::common::Json::object();
+  heus::bench::decision_matrix(results);
+  heus::bench::latency_budget(results);
+  heus::bench::port_collision(results);
+  if (!path) return 0;
+  return heus::bench::write_report("E5", std::move(results), *path) ? 0 : 1;
 }

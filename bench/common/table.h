@@ -1,13 +1,27 @@
 // Minimal fixed-width table printer for experiment reports. Every bench
 // binary prints its experiment id, the workload parameters, and a table of
 // the series the paper's claim concerns; EXPERIMENTS.md reproduces these.
+// A bench run with --json[=PATH] also mirrors its results into a
+// BENCH_E*.json document (see write_report) so the perf trajectory is
+// diffable across commits.
 #pragma once
 
+#include <algorithm>
 #include <cstdio>
 #include <string>
+#include <utility>
 #include <vector>
 
+#include "common/json.h"
+
 namespace heus::bench {
+
+inline bool has_flag(int argc, char** argv, const std::string& flag) {
+  for (int i = 1; i < argc; ++i) {
+    if (flag == argv[i]) return true;
+  }
+  return false;
+}
 
 inline void print_banner(const char* experiment, const char* claim) {
   std::printf("\n=== %s ===\n%s\n\n", experiment, claim);
@@ -59,5 +73,26 @@ class Table {
   std::vector<std::string> headers_;
   std::vector<std::vector<std::string>> rows_;
 };
+
+/// Mirror a printed Table as {"headers": [...], "rows": [[...], ...]}.
+inline common::Json table_to_json(const Table& t) {
+  common::Json obj = common::Json::object();
+  obj.set("headers", t.headers()).set("rows", t.rows());
+  return obj;
+}
+
+/// Write {"experiment": ..., "results": ...} to `path` and say so; false
+/// (with a message) on an I/O error.
+inline bool write_report(const char* experiment, common::Json results,
+                         const std::string& path) {
+  common::Json doc = common::Json::object();
+  doc.set("experiment", experiment).set("results", std::move(results));
+  if (!common::write_json(doc, path)) {
+    std::fprintf(stderr, "cannot write %s\n", path.c_str());
+    return false;
+  }
+  std::printf("\nwrote %s\n", path.c_str());
+  return true;
+}
 
 }  // namespace heus::bench

@@ -1,9 +1,9 @@
 #include "analyze/ingest/site_report.h"
 
-#include "analyze/json_util.h"
 #include "analyze/policy_space.h"
-#include "obs/taxonomy.h"
+#include "common/json.h"
 #include "common/strings.h"
+#include "obs/taxonomy.h"
 
 namespace heus::analyze::ingest {
 
@@ -208,111 +208,101 @@ std::string to_markdown(const SiteReview& review) {
 
 namespace {
 
-std::string json_provenance(const Provenance& p) {
-  return strformat("{\"file\": \"%s\", \"line\": %d}",
-                   json_escape(p.file).c_str(), p.line);
+using common::Json;
+
+Json provenance_json(const Provenance& p) {
+  Json out = Json::object().compact();
+  out.set("file", p.file).set("line", p.line);
+  return out;
 }
 
-std::string json_diagnostics(const std::vector<Diagnostic>& diags) {
-  std::string out = "[";
-  for (std::size_t i = 0; i < diags.size(); ++i) {
-    if (i != 0) out += ", ";
-    out += strformat("{\"severity\": \"%s\", \"where\": %s, "
-                     "\"message\": \"%s\"}",
-                     to_string(diags[i].severity),
-                     json_provenance(diags[i].where).c_str(),
-                     json_escape(diags[i].message).c_str());
+Json diagnostics_json(const std::vector<Diagnostic>& diags) {
+  Json out = Json::array().compact();
+  for (const Diagnostic& d : diags) {
+    Json row = Json::object();
+    row.set("severity", to_string(d.severity))
+        .set("where", provenance_json(d.where))
+        .set("message", d.message);
+    out.push(std::move(row));
   }
-  return out + "]";
+  return out;
+}
+
+Json node_json(const NodeReview& node, const IngestedPolicy& ingested) {
+  Json facts = Json::object().compact();
+  facts.set("service_port", ingested.facts.service_port)
+      .set("ubf_inspect_from", ingested.facts.ubf_inspect_from)
+      .set("has_gpus", ingested.facts.has_gpus);
+  Json channels = Json::array();
+  for (const ChannelFinding& f : node.analysis.findings) {
+    Json cited = Json::array();
+    for (const std::string& knob : cited_knobs(f)) {
+      Json cite = Json::object();
+      cite.set("knob", knob)
+          .set("where", provenance_json(ingested.where(knob)));
+      cited.push(std::move(cite));
+    }
+    Json row = Json::object().compact();
+    row.set("channel", core::to_string(f.kind))
+        .set("verdict", to_string(f.verdict))
+        .set("explanation", f.explanation)
+        .set("cited", std::move(cited));
+    channels.push(std::move(row));
+  }
+  Json summary = Json::object().compact();
+  summary.set("crossable", node.analysis.crossable_count())
+      .set("unexpected_open", node.analysis.unexpected_open_count())
+      .set("residual", node.analysis.residual_set().size())
+      .set("fail_closed_dependent",
+           node.degraded.count(DegradedBehavior::fail_closed_dependent));
+  Json out = Json::object();
+  out.set("name", node.name)
+      .set("policy", describe_policy(ingested.policy))
+      .set("facts", std::move(facts))
+      .set("diagnostics", diagnostics_json(ingested.diagnostics))
+      .set("channels", std::move(channels))
+      .set("summary", std::move(summary));
+  return out;
 }
 
 }  // namespace
 
-std::string to_json(const SiteReview& review) {
-  std::string out = "{\n";
-  out += strformat("  \"snapshot\": \"%s\",\n",
-                   json_escape(review.site.root).c_str());
+Json to_json(const SiteReview& review) {
+  Json intent;
   if (review.site.intent) {
-    out += strformat(
-        "  \"intent\": {\"policy\": \"%s\", \"diagnostics\": %s},\n",
-        json_escape(describe_policy(review.site.intent->policy)).c_str(),
-        json_diagnostics(review.site.intent->diagnostics).c_str());
-  } else {
-    out += "  \"intent\": null,\n";
+    intent = Json::object().compact();
+    intent.set("policy", describe_policy(review.site.intent->policy))
+        .set("diagnostics", diagnostics_json(review.site.intent->diagnostics));
   }
-  out += strformat("  \"site_diagnostics\": %s,\n",
-                   json_diagnostics(review.site.site_diagnostics).c_str());
-
-  out += "  \"drift\": [\n";
-  for (std::size_t i = 0; i < review.drift.size(); ++i) {
-    const DriftFinding& f = review.drift[i];
-    out += strformat(
-        "    {\"kind\": \"%s\", \"node\": \"%s\", \"knob\": \"%s\", "
-        "\"expected\": \"%s\", \"actual\": \"%s\", \"where\": %s}%s\n",
-        to_string(f.kind), json_escape(f.node).c_str(),
-        json_escape(f.knob).c_str(), json_escape(f.expected).c_str(),
-        json_escape(f.actual).c_str(), json_provenance(f.where).c_str(),
-        i + 1 == review.drift.size() ? "" : ",");
+  Json drift = Json::array();
+  for (const DriftFinding& f : review.drift) {
+    Json row = Json::object().compact();
+    row.set("kind", to_string(f.kind))
+        .set("node", f.node)
+        .set("knob", f.knob)
+        .set("expected", f.expected)
+        .set("actual", f.actual)
+        .set("where", provenance_json(f.where));
+    drift.push(std::move(row));
   }
-  out += "  ],\n";
-
-  out += "  \"nodes\": [\n";
+  Json nodes = Json::array();
   for (std::size_t n = 0; n < review.nodes.size(); ++n) {
-    const NodeReview& node = review.nodes[n];
-    const IngestedPolicy& ingested = snapshot_of(review, n).ingested;
-    out += strformat("    {\"name\": \"%s\",\n",
-                     json_escape(node.name).c_str());
-    out += strformat("     \"policy\": \"%s\",\n",
-                     json_escape(
-                         describe_policy(ingested.policy)).c_str());
-    out += strformat(
-        "     \"facts\": {\"service_port\": %u, \"ubf_inspect_from\": %u, "
-        "\"has_gpus\": %s},\n",
-        static_cast<unsigned>(ingested.facts.service_port),
-        static_cast<unsigned>(ingested.facts.ubf_inspect_from),
-        ingested.facts.has_gpus ? "true" : "false");
-    out += strformat("     \"diagnostics\": %s,\n",
-                     json_diagnostics(ingested.diagnostics).c_str());
-    out += "     \"channels\": [\n";
-    const auto& findings = node.analysis.findings;
-    for (std::size_t i = 0; i < findings.size(); ++i) {
-      const ChannelFinding& f = findings[i];
-      std::string cites = "[";
-      const std::vector<std::string> knobs = cited_knobs(f);
-      for (std::size_t c = 0; c < knobs.size(); ++c) {
-        if (c != 0) cites += ", ";
-        cites += strformat(
-            "{\"knob\": \"%s\", \"where\": %s}",
-            json_escape(knobs[c]).c_str(),
-            json_provenance(ingested.where(knobs[c])).c_str());
-      }
-      cites += "]";
-      out += strformat(
-          "       {\"channel\": \"%s\", \"verdict\": \"%s\", "
-          "\"explanation\": \"%s\", \"cited\": %s}%s\n",
-          core::to_string(f.kind), to_string(f.verdict),
-          json_escape(f.explanation).c_str(), cites.c_str(),
-          i + 1 == findings.size() ? "" : ",");
-    }
-    out += "     ],\n";
-    out += strformat(
-        "     \"summary\": {\"crossable\": %zu, \"unexpected_open\": %zu, "
-        "\"residual\": %zu, \"fail_closed_dependent\": %zu}}%s\n",
-        node.analysis.crossable_count(),
-        node.analysis.unexpected_open_count(),
-        node.analysis.residual_set().size(),
-        node.degraded.count(DegradedBehavior::fail_closed_dependent),
-        n + 1 == review.nodes.size() ? "" : ",");
+    nodes.push(node_json(review.nodes[n], snapshot_of(review, n).ingested));
   }
-  out += "  ],\n";
-  out += strformat(
-      "  \"gate\": {\"ok\": %s, \"unexpected_open\": %zu, "
-      "\"drift_findings\": %zu, \"parse_errors\": %zu}\n",
-      review.gate_ok() ? "true" : "false",
-      review.unexpected_open_total(), review.drift.size(),
-      review.error_count());
-  out += "}\n";
-  return out;
+  Json gate = Json::object().compact();
+  gate.set("ok", review.gate_ok())
+      .set("unexpected_open", review.unexpected_open_total())
+      .set("drift_findings", review.drift.size())
+      .set("parse_errors", review.error_count());
+
+  Json doc = Json::object();
+  doc.set("snapshot", review.site.root)
+      .set("intent", std::move(intent))
+      .set("site_diagnostics", diagnostics_json(review.site.site_diagnostics))
+      .set("drift", std::move(drift))
+      .set("nodes", std::move(nodes))
+      .set("gate", std::move(gate));
+  return doc;
 }
 
 }  // namespace heus::analyze::ingest

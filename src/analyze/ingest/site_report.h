@@ -10,6 +10,7 @@
 #include "analyze/degraded.h"
 #include "analyze/ingest/drift.h"
 #include "analyze/ingest/site.h"
+#include "common/json.h"
 
 namespace heus::analyze::ingest {
 
@@ -45,6 +46,6 @@ struct SiteReview {
 [[nodiscard]] const char* primary_knob(core::ChannelKind kind);
 
 [[nodiscard]] std::string to_markdown(const SiteReview& review);
-[[nodiscard]] std::string to_json(const SiteReview& review);
+[[nodiscard]] common::Json to_json(const SiteReview& review);
 
 }  // namespace heus::analyze::ingest

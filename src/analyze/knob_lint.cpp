@@ -5,7 +5,6 @@
 #include <set>
 
 #include "analyze/channel_graph.h"
-#include "analyze/json_util.h"
 #include "analyze/policy_space.h"
 #include "common/strings.h"
 #include "core/audit.h"
@@ -326,26 +325,25 @@ std::string knob_lint_to_markdown(const KnobLintReport& report) {
   return out;
 }
 
-std::string knob_lint_to_json(const KnobLintReport& report) {
-  std::string out = "{\"knobs\": [\n";
-  for (std::size_t i = 0; i < report.knobs.size(); ++i) {
-    const KnobEvidence& ev = report.knobs[i];
-    out += strformat(
-        "    {\"knob\": \"%s\", \"in_registry\": %s, \"fed_knob\": %s, "
-        "\"analyzer_referenced\": %s, \"analyzer_exempt\": %s, "
-        "\"enforcement_exempt\": %s, \"decision_points\": %s}",
-        json_escape(ev.knob).c_str(), ev.in_registry ? "true" : "false",
-        ev.fed_knob ? "true" : "false",
-        ev.analyzer_referenced ? "true" : "false",
-        ev.analyzer_exempt ? "true" : "false",
-        ev.enforcement_exempt ? "true" : "false",
-        json_string_array(ev.decision_points).c_str());
-    out += i + 1 < report.knobs.size() ? ",\n" : "\n";
+common::Json knob_lint_to_json(const KnobLintReport& report) {
+  using common::Json;
+  Json knobs = Json::array();
+  for (const KnobEvidence& ev : report.knobs) {
+    Json row = Json::object().compact();
+    row.set("knob", ev.knob)
+        .set("in_registry", ev.in_registry)
+        .set("fed_knob", ev.fed_knob)
+        .set("analyzer_referenced", ev.analyzer_referenced)
+        .set("analyzer_exempt", ev.analyzer_exempt)
+        .set("enforcement_exempt", ev.enforcement_exempt)
+        .set("decision_points", ev.decision_points);
+    knobs.push(std::move(row));
   }
-  out += "  ], \"findings\": " + json_string_array(report.findings);
-  out += strformat(", \"clean\": %s}",
-                   report.clean() ? "true" : "false");
-  return out;
+  Json doc = Json::object();
+  doc.set("knobs", std::move(knobs))
+      .set("findings", report.findings)
+      .set("clean", report.clean());
+  return doc;
 }
 
 }  // namespace heus::analyze

@@ -26,6 +26,8 @@
 #include <string>
 #include <vector>
 
+#include "common/json.h"
+
 namespace heus::analyze {
 
 struct KnobEvidence {
@@ -57,6 +59,7 @@ struct KnobLintReport {
 
 [[nodiscard]] std::string knob_lint_to_markdown(
     const KnobLintReport& report);
-[[nodiscard]] std::string knob_lint_to_json(const KnobLintReport& report);
+/// The `knob_lint` section of the `--paths` JSON document.
+[[nodiscard]] common::Json knob_lint_to_json(const KnobLintReport& report);
 
 }  // namespace heus::analyze

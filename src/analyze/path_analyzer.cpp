@@ -3,7 +3,7 @@
 #include <algorithm>
 #include <unordered_map>
 
-#include "analyze/json_util.h"
+#include "common/json.h"
 #include "common/strings.h"
 
 namespace heus::analyze {
@@ -316,16 +316,22 @@ void render_paths_md(std::string& out, const ChannelGraph& g,
   }
 }
 
-std::string path_json(const ChannelGraph& g, const AttackPath& p) {
-  std::string out = "{\"path\": \"" + json_escape(path_label(g, p));
-  out += strformat("\", \"hops\": %zu, \"cross_cluster\": %s, "
-                   "\"hop_knobs\": [",
-                   p.edges.size(), p.cross_cluster ? "true" : "false");
-  for (std::size_t i = 0; i < p.edges.size(); ++i) {
-    if (i > 0) out += ", ";
-    out += json_string_array(g.edges()[p.edges[i]].responsible_knobs);
+common::Json paths_json(const ChannelGraph& g,
+                        const std::vector<AttackPath>& paths) {
+  using common::Json;
+  Json out = Json::array();
+  for (const AttackPath& p : paths) {
+    Json hop_knobs = Json::array();
+    for (const std::uint32_t e : p.edges) {
+      hop_knobs.push(g.edges()[e].responsible_knobs);
+    }
+    Json row = Json::object().compact();
+    row.set("path", path_label(g, p))
+        .set("hops", p.edges.size())
+        .set("cross_cluster", p.cross_cluster)
+        .set("hop_knobs", std::move(hop_knobs));
+    out.push(std::move(row));
   }
-  out += "]}";
   return out;
 }
 
@@ -407,73 +413,53 @@ std::string paths_to_markdown(const PathReport& report,
   return out;
 }
 
-std::string paths_to_json(const PathReport& report,
-                          const KnobLintReport* lint) {
+common::Json paths_to_json(const PathReport& report,
+                           const KnobLintReport* lint) {
+  using common::Json;
   const ChannelGraph& g = report.graph;
-  std::string out = "{\n";
-  out += strformat("  \"principal\": \"%s\",\n",
-                   to_string(g.principal()));
-  out += "  \"clusters\": [";
-  for (std::size_t i = 0; i < g.clusters().size(); ++i) {
-    if (i > 0) out += ", ";
-    out += strformat(
-        "{\"name\": \"%s\", \"policy\": \"%s\"}",
-        json_escape(g.clusters()[i].name).c_str(),
-        json_escape(describe_policy(g.clusters()[i].policy)).c_str());
+  Json clusters = Json::array();
+  for (const ClusterSpec& c : g.clusters()) {
+    Json row = Json::object().compact();
+    row.set("name", c.name).set("policy", describe_policy(c.policy));
+    clusters.push(std::move(row));
   }
-  out += "],\n";
   std::size_t present = 0;
   for (const GraphEdge& e : g.edges()) present += e.present ? 1 : 0;
-  out += strformat(
-      "  \"nodes\": %zu, \"edges\": %zu, \"edges_present\": %zu,\n",
-      g.nodes().size(), g.edges().size(), present);
-  out += "  \"escalation_paths\": [\n";
-  for (std::size_t i = 0; i < report.escalation.size(); ++i) {
-    out += "    " + path_json(g, report.escalation[i]);
-    out += i + 1 < report.escalation.size() ? ",\n" : "\n";
-  }
-  out += "  ],\n  \"residual_paths\": [\n";
-  for (std::size_t i = 0; i < report.residual.size(); ++i) {
-    out += "    " + path_json(g, report.residual[i]);
-    out += i + 1 < report.residual.size() ? ",\n" : "\n";
-  }
-  out += "  ],\n";
-  out += "  \"minimal_cut\": " + json_string_array(report.minimal_cut);
-  out += ",\n";
+
+  Json doc = Json::object();
+  doc.set("principal", to_string(g.principal()))
+      .set("clusters", std::move(clusters))
+      .set("nodes", g.nodes().size())
+      .set("edges", g.edges().size())
+      .set("edges_present", present)
+      .set("escalation_paths", paths_json(g, report.escalation))
+      .set("residual_paths", paths_json(g, report.residual))
+      .set("minimal_cut", Json(report.minimal_cut).compact());
   if (report.swept) {
     const LatticeSweep& s = report.sweep;
-    out += strformat(
-        "  \"sweep\": {\"policies\": %zu, \"behaviour_classes\": %zu, "
-        "\"policies_with_escalation\": %zu, "
-        "\"hardened_escalation_paths\": %zu, "
-        "\"max_escalation_paths\": %zu, \"worst_policy\": \"%s\"},\n",
-        s.policies, s.behaviour_classes, s.policies_with_escalation,
-        s.hardened_escalation_paths, s.max_escalation_paths,
-        json_escape(s.worst_policy).c_str());
-    out += "  \"mutations\": [\n";
-    for (std::size_t i = 0; i < report.mutations.size(); ++i) {
-      const MutationFinding& m = report.mutations[i];
-      out += strformat(
-          "    {\"knob\": \"%s\", \"escalation_paths\": %zu, "
-          "\"reopened_hop\": %d, \"reopened_mechanism\": \"%s\", "
-          "\"witness\": \"%s\", \"hop_knobs\": %s}",
-          json_escape(m.knob).c_str(), m.escalation_paths,
-          m.reopened_hop, json_escape(m.reopened_mechanism).c_str(),
-          json_escape(m.witness).c_str(),
-          json_string_array(m.hop_knobs).c_str());
-      out += i + 1 < report.mutations.size() ? ",\n" : "\n";
+    Json sweep = Json::object().compact();
+    sweep.set("policies", s.policies)
+        .set("behaviour_classes", s.behaviour_classes)
+        .set("policies_with_escalation", s.policies_with_escalation)
+        .set("hardened_escalation_paths", s.hardened_escalation_paths)
+        .set("max_escalation_paths", s.max_escalation_paths)
+        .set("worst_policy", s.worst_policy);
+    Json mutations = Json::array();
+    for (const MutationFinding& m : report.mutations) {
+      Json row = Json::object().compact();
+      row.set("knob", m.knob)
+          .set("escalation_paths", m.escalation_paths)
+          .set("reopened_hop", m.reopened_hop)
+          .set("reopened_mechanism", m.reopened_mechanism)
+          .set("witness", m.witness)
+          .set("hop_knobs", m.hop_knobs);
+      mutations.push(std::move(row));
     }
-    out += "  ],\n";
+    doc.set("sweep", std::move(sweep)).set("mutations", std::move(mutations));
   }
-  if (lint != nullptr) {
-    out += "  \"knob_lint\": " + knob_lint_to_json(*lint) + ",\n";
-  }
-  out += strformat(
-      "  \"gate_ok\": %s\n}\n",
-      (report.gate_ok() && (lint == nullptr || lint->clean()))
-          ? "true"
-          : "false");
-  return out;
+  if (lint != nullptr) doc.set("knob_lint", knob_lint_to_json(*lint));
+  doc.set("gate_ok", report.gate_ok() && (lint == nullptr || lint->clean()));
+  return doc;
 }
 
 }  // namespace heus::analyze

@@ -25,6 +25,7 @@
 
 #include "analyze/channel_graph.h"
 #include "analyze/knob_lint.h"
+#include "common/json.h"
 
 namespace heus::analyze {
 
@@ -131,7 +132,7 @@ class PathAnalyzer {
     const PathReport& report, const KnobLintReport* lint = nullptr);
 
 /// Machine-readable gate output (heus-lint --paths --format json).
-[[nodiscard]] std::string paths_to_json(
+[[nodiscard]] common::Json paths_to_json(
     const PathReport& report, const KnobLintReport* lint = nullptr);
 
 }  // namespace heus::analyze

@@ -4,8 +4,8 @@
 #include <map>
 #include <set>
 
-#include "analyze/json_util.h"
 #include "analyze/policy_space.h"
+#include "common/json.h"
 #include "common/strings.h"
 #include "container/entry_lifecycle.h"
 #include "fed/breaker_lifecycle.h"
@@ -413,35 +413,36 @@ std::string reach_to_markdown(const ReachReport& report) {
   return out;
 }
 
-std::string reach_to_json(const ReachReport& report) {
-  std::string out = "{\n";
-  out += strformat("  \"policies\": %zu,\n", report.policies);
-  out += strformat("  \"clean\": %s,\n", report.clean() ? "true" : "false");
-  out += "  \"machines\": [\n";
-  for (std::size_t i = 0; i < report.machines.size(); ++i) {
-    const MachineStats& m = report.machines[i];
-    out += strformat(
-        "    {\"name\": \"%s\", \"states\": %zu, \"transitions\": %zu, "
-        "\"triples\": %llu, \"signature_classes\": %zu}%s\n",
-        json_escape(m.machine).c_str(), m.states, m.transitions,
-        static_cast<unsigned long long>(m.triples), m.signature_classes,
-        i + 1 < report.machines.size() ? "," : "");
+common::Json reach_to_json(const ReachReport& report) {
+  using common::Json;
+  Json machines = Json::array();
+  for (const MachineStats& m : report.machines) {
+    Json row = Json::object().compact();
+    row.set("name", m.machine)
+        .set("states", m.states)
+        .set("transitions", m.transitions)
+        .set("triples", m.triples)
+        .set("signature_classes", m.signature_classes);
+    machines.push(std::move(row));
   }
-  out += "  ],\n";
-  out += "  \"findings\": [\n";
-  for (std::size_t i = 0; i < report.findings.size(); ++i) {
-    const ReachFinding& f = report.findings[i];
-    out += strformat(
-        "    {\"kind\": \"%s\", \"machine\": \"%s\", \"detail\": \"%s\", "
-        "\"knob\": \"%s\", \"witness\": \"%s\", \"transition\": %d, "
-        "\"state\": %d}%s\n",
-        to_string(f.kind), json_escape(f.machine).c_str(),
-        json_escape(f.detail).c_str(), json_escape(f.knob).c_str(),
-        json_escape(f.example_policy).c_str(), f.transition_index, f.state,
-        i + 1 < report.findings.size() ? "," : "");
+  Json findings = Json::array();
+  for (const ReachFinding& f : report.findings) {
+    Json row = Json::object().compact();
+    row.set("kind", to_string(f.kind))
+        .set("machine", f.machine)
+        .set("detail", f.detail)
+        .set("knob", f.knob)
+        .set("witness", f.example_policy)
+        .set("transition", f.transition_index)
+        .set("state", f.state);
+    findings.push(std::move(row));
   }
-  out += "  ]\n}\n";
-  return out;
+  Json doc = Json::object();
+  doc.set("policies", report.policies)
+      .set("clean", report.clean())
+      .set("machines", std::move(machines))
+      .set("findings", std::move(findings));
+  return doc;
 }
 
 }  // namespace heus::analyze

@@ -32,6 +32,7 @@
 #include <vector>
 
 #include "analyze/analyzer.h"
+#include "common/json.h"
 #include "lifecycle/machine.h"
 
 namespace heus::analyze {
@@ -118,6 +119,6 @@ class ReachabilityChecker {
 [[nodiscard]] std::string reach_to_markdown(const ReachReport& report);
 
 /// Machine-readable gate output (heus-lint --reach --format json).
-[[nodiscard]] std::string reach_to_json(const ReachReport& report);
+[[nodiscard]] common::Json reach_to_json(const ReachReport& report);
 
 }  // namespace heus::analyze

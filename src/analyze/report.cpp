@@ -1,6 +1,6 @@
 #include "analyze/report.h"
 
-#include "analyze/json_util.h"
+#include "common/json.h"
 #include "common/strings.h"
 
 namespace heus::analyze {
@@ -60,40 +60,37 @@ std::string to_markdown(const AnalysisReport& report) {
   return out;
 }
 
-std::string to_json(const AnalysisReport& report) {
-  std::string out = "{\n";
-  out += strformat("  \"policy\": \"%s\",\n",
-                   json_escape(describe_policy(report.policy)).c_str());
-  out += strformat(
-      "  \"facts\": {\"observer_support_staff\": %s, "
-      "\"observer_operator\": %s, \"shared_service_group\": %s, "
-      "\"has_gpus\": %s, \"service_port\": %u},\n",
-      report.facts.observer_support_staff ? "true" : "false",
-      report.facts.observer_operator ? "true" : "false",
-      report.facts.shared_service_group ? "true" : "false",
-      report.facts.has_gpus ? "true" : "false",
-      static_cast<unsigned>(report.facts.service_port));
-  out += "  \"channels\": [\n";
-  for (std::size_t i = 0; i < report.findings.size(); ++i) {
-    const ChannelFinding& f = report.findings[i];
-    out += strformat(
-        "    {\"channel\": \"%s\", \"section\": \"%s\", "
-        "\"verdict\": \"%s\", \"explanation\": \"%s\", "
-        "\"responsible_knobs\": %s, \"minimal_hardening\": %s}%s\n",
-        core::to_string(f.kind), core::channel_section(f.kind),
-        to_string(f.verdict), json_escape(f.explanation).c_str(),
-        json_string_array(f.responsible_knobs).c_str(),
-        json_string_array(f.minimal_hardening).c_str(),
-        i + 1 == report.findings.size() ? "" : ",");
+common::Json to_json(const AnalysisReport& report) {
+  using common::Json;
+  Json facts = Json::object().compact();
+  facts.set("observer_support_staff", report.facts.observer_support_staff)
+      .set("observer_operator", report.facts.observer_operator)
+      .set("shared_service_group", report.facts.shared_service_group)
+      .set("has_gpus", report.facts.has_gpus)
+      .set("service_port", report.facts.service_port);
+  Json channels = Json::array();
+  for (const ChannelFinding& f : report.findings) {
+    Json row = Json::object().compact();
+    row.set("channel", core::to_string(f.kind))
+        .set("section", core::channel_section(f.kind))
+        .set("verdict", to_string(f.verdict))
+        .set("explanation", f.explanation)
+        .set("responsible_knobs", f.responsible_knobs)
+        .set("minimal_hardening", f.minimal_hardening);
+    channels.push(std::move(row));
   }
-  out += "  ],\n";
-  out += strformat(
-      "  \"summary\": {\"channels\": %zu, \"crossable\": %zu, "
-      "\"unexpected_open\": %zu, \"residual\": %zu}\n",
-      report.findings.size(), report.crossable_count(),
-      report.unexpected_open_count(), report.residual_set().size());
-  out += "}\n";
-  return out;
+  Json summary = Json::object().compact();
+  summary.set("channels", report.findings.size())
+      .set("crossable", report.crossable_count())
+      .set("unexpected_open", report.unexpected_open_count())
+      .set("residual", report.residual_set().size());
+
+  Json doc = Json::object();
+  doc.set("policy", describe_policy(report.policy))
+      .set("facts", std::move(facts))
+      .set("channels", std::move(channels))
+      .set("summary", std::move(summary));
+  return doc;
 }
 
 }  // namespace heus::analyze

@@ -6,6 +6,7 @@
 #include <string>
 
 #include "analyze/analyzer.h"
+#include "common/json.h"
 
 namespace heus::analyze {
 
@@ -14,6 +15,6 @@ namespace heus::analyze {
 
 /// Stable JSON document: policy knobs, facts, per-channel findings with
 /// explanations/responsible knobs/minimal hardening, and summary counts.
-[[nodiscard]] std::string to_json(const AnalysisReport& report);
+[[nodiscard]] common::Json to_json(const AnalysisReport& report);
 
 }  // namespace heus::analyze

@@ -46,7 +46,7 @@ class WorkerPool {
   /// Tasks fully executed since construction.
   [[nodiscard]] std::uint64_t tasks_executed() const;
   /// Tasks whose callable escaped with an exception (always a bug in the
-  /// caller; the engine asserts this stays zero).
+  /// caller; the engine fails its tick when this is nonzero).
   [[nodiscard]] std::uint64_t failed_tasks() const;
 
  private:

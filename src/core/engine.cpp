@@ -3,6 +3,7 @@
 #include <algorithm>
 #include <cassert>
 #include <cstring>
+#include <stdexcept>
 
 namespace heus::core {
 
@@ -87,9 +88,12 @@ void ShardedEngine::tick() {
     stats_.intra_tasks += groups_;
   }
   pool_.wait_idle();
-  // A task that threw would have skipped part of its group's stream;
-  // results after that point would be silently wrong, so fail loudly.
-  assert(pool_.failed_tasks() == 0 && "a group tick task threw");
+  // A task that threw skipped the rest of its group's stream, so this
+  // tick's results would be silently wrong. Fail closed in every build
+  // type, before the cross-group drain and the serial phase run.
+  if (pool_.failed_tasks() != 0) {
+    throw std::runtime_error("ShardedEngine::tick: a group tick task threw");
+  }
 
   // Work model: what this tick's intra-phase work costs on an idealized
   // `workers`-thread machine — greedy least-loaded assignment of the

@@ -118,7 +118,9 @@ class ShardedEngine {
     outbox_.at(group).push_back(std::move(op));
   }
 
-  /// Run one BSP tick (see file header for the phase structure).
+  /// Run one BSP tick (see file header for the phase structure). Throws
+  /// std::runtime_error, before the cross-group drain and the serial
+  /// phase, once any group tick task has thrown.
   void tick();
 
   [[nodiscard]] std::uint32_t groups() const { return groups_; }

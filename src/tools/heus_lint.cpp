@@ -11,18 +11,19 @@
 #include <cstdio>
 #include <cstdlib>
 #include <cstring>
+#include <optional>
 #include <string>
 
 #include "analyze/analyzer.h"
 #include "analyze/degraded.h"
 #include "analyze/ingest/site.h"
 #include "analyze/ingest/site_report.h"
-#include "analyze/json_util.h"
 #include "analyze/knob_lint.h"
 #include "analyze/path_analyzer.h"
 #include "analyze/policy_space.h"
 #include "analyze/reachability.h"
 #include "analyze/report.h"
+#include "common/json.h"
 #include "core/audit.h"
 #include "core/cluster.h"
 #include "obs/decision.h"
@@ -108,22 +109,24 @@ void usage(std::FILE* to) {
       to);
 }
 
-using heus::analyze::json_escape;
+using heus::common::Json;
 
 /// Route one subcommand's rendered documents: markdown/JSON to stdout
-/// per --format, plus the shared --json[=PATH] sink (which never prints
-/// the same document to stdout twice). Returns false on sink I/O error.
-bool emit(const std::string& format, const heus::analyze::JsonSink& sink,
-          const std::string& markdown, const std::string& json) {
+/// per --format, plus the --json[=PATH] destination (empty: stdout, and
+/// then the JSON is not printed twice). Returns false on a write error.
+bool emit(const std::string& format,
+          const std::optional<std::string>& json_path,
+          const std::string& markdown, const Json& json) {
   if (format == "markdown" || format == "both") {
     std::fputs(markdown.c_str(), stdout);
   }
-  if ((format == "json" || format == "both") && !sink.to_stdout()) {
-    std::fputs(json.c_str(), stdout);
+  const bool json_to_stdout = json_path && json_path->empty();
+  if ((format == "json" || format == "both") && !json_to_stdout) {
+    std::fputs(json.dump().c_str(), stdout);
   }
-  if (!sink.write(json)) {
+  if (json_path && !heus::common::write_json(json, *json_path)) {
     std::fprintf(stderr, "heus-lint: cannot write --json=%s\n",
-                 sink.path().c_str());
+                 json_path->c_str());
     return false;
   }
   return true;
@@ -146,33 +149,25 @@ std::string trace_row_markdown(const heus::obs::Decision& d) {
   return row;
 }
 
-std::string trace_row_json(const heus::obs::Decision& d) {
+Json trace_row_json(const heus::obs::Decision& d) {
   using heus::obs::to_string;
-  std::string row = "    {\"seq\": " + std::to_string(d.seq);
-  row += ", \"t_ns\": " + std::to_string(d.time.ns);
-  row += std::string(", \"point\": \"") + to_string(d.point) + "\"";
-  row += std::string(", \"outcome\": \"") + to_string(d.outcome) + "\"";
-  row += ", \"subject\": " + std::to_string(d.subject.value());
-  row += ", \"owner\": " + std::to_string(d.object_owner.value());
-  if (d.channel) {
-    row += std::string(", \"channel\": \"") + to_string(*d.channel) + "\"";
-  } else {
-    row += ", \"channel\": null";
-  }
-  if (d.knob != nullptr) {
-    row += std::string(", \"knob\": \"") + d.knob + "\"";
-  } else {
-    row += ", \"knob\": null";
-  }
-  row += ", \"from_cache\": ";
-  row += d.from_cache ? "true" : "false";
-  row += ", \"object\": \"" + json_escape(d.object) + "\"}";
+  Json row = Json::object().compact();
+  row.set("seq", d.seq)
+      .set("t_ns", d.time.ns)
+      .set("point", to_string(d.point))
+      .set("outcome", to_string(d.outcome))
+      .set("subject", d.subject.value())
+      .set("owner", d.object_owner.value())
+      .set("channel", d.channel ? Json(to_string(*d.channel)) : Json())
+      .set("knob", d.knob != nullptr ? Json(d.knob) : Json())
+      .set("from_cache", d.from_cache)
+      .set("object", d.object);
   return row;
 }
 
 int run_trace(const heus::core::SeparationPolicy& policy,
               const std::string& format,
-              const heus::analyze::JsonSink& sink) {
+              const std::optional<std::string>& json_path) {
   using namespace heus;
   core::ClusterConfig cfg;
   cfg.compute_nodes = 2;
@@ -207,42 +202,38 @@ int run_trace(const heus::core::SeparationPolicy& policy,
     md += trace_row_markdown(d) + "\n";
   }
 
-  std::string json = "{\n  \"policy\": \"" +
-                     json_escape(analyze::describe_policy(policy)) +
-                     "\",\n  \"decisions\": [\n";
-  for (std::size_t i = 0; i < decisions.size(); ++i) {
-    json += trace_row_json(decisions[i]);
-    if (i + 1 < decisions.size()) json += ",";
-    json += "\n";
-  }
-  json += "  ]\n}\n";
-  return emit(format, sink, md, json) ? 0 : 2;
+  Json rows = Json::array();
+  for (const obs::Decision& d : decisions) rows.push(trace_row_json(d));
+  Json json = Json::object();
+  json.set("policy", analyze::describe_policy(policy))
+      .set("decisions", std::move(rows));
+  return emit(format, json_path, md, json) ? 0 : 2;
 }
 
-/// Minimal JSON rendering of the degraded census (the markdown emitter
-/// lives in analyze/degraded.cpp; this stays here until a second
-/// consumer wants it).
-std::string degraded_to_json(const heus::analyze::DegradedReport& report) {
-  using heus::analyze::describe_policy;
-  std::string out = "{\n  \"policy\": \"" +
-                    json_escape(describe_policy(report.policy)) +
-                    "\",\n  \"channels\": [\n";
-  for (std::size_t i = 0; i < report.findings.size(); ++i) {
-    const auto& f = report.findings[i];
-    out += std::string("    {\"channel\": \"") + to_string(f.kind) +
-           "\", \"behavior\": \"" + to_string(f.behavior) +
-           "\", \"note\": \"" + json_escape(f.note) + "\"}";
-    out += i + 1 < report.findings.size() ? ",\n" : "\n";
+/// JSON rendering of the degraded census (the markdown emitter lives in
+/// analyze/degraded.cpp; this stays here until a second consumer wants
+/// it).
+Json degraded_to_json(const heus::analyze::DegradedReport& report) {
+  Json channels = Json::array();
+  for (const auto& f : report.findings) {
+    Json row = Json::object().compact();
+    row.set("channel", to_string(f.kind))
+        .set("behavior", to_string(f.behavior))
+        .set("note", f.note);
+    channels.push(std::move(row));
   }
-  out += "  ],\n  \"federation\": [\n";
-  for (std::size_t i = 0; i < report.federation.size(); ++i) {
-    const auto& f = report.federation[i];
-    out += "    {\"operation\": \"" + json_escape(f.operation) +
-           "\", \"behavior\": \"" + std::string(to_string(f.behavior)) +
-           "\", \"note\": \"" + json_escape(f.note) + "\"}";
-    out += i + 1 < report.federation.size() ? ",\n" : "\n";
+  Json federation = Json::array();
+  for (const auto& f : report.federation) {
+    Json row = Json::object().compact();
+    row.set("operation", f.operation)
+        .set("behavior", to_string(f.behavior))
+        .set("note", f.note);
+    federation.push(std::move(row));
   }
-  out += "  ]\n}\n";
+  Json out = Json::object();
+  out.set("policy", heus::analyze::describe_policy(report.policy))
+      .set("channels", std::move(channels))
+      .set("federation", std::move(federation));
   return out;
 }
 
@@ -255,7 +246,7 @@ int main(int argc, char** argv) {
   analyze::TopologyFacts facts;
   std::string format = "markdown";
   std::string site_dir;
-  analyze::JsonSink sink;
+  std::optional<std::string> json_path;
   bool gate = false;
   bool degraded = false;
   bool trace = false;
@@ -292,8 +283,8 @@ int main(int argc, char** argv) {
       reach = true;
     } else if (std::strcmp(arg, "--paths") == 0) {
       paths = true;
-    } else if (sink.parse(arg)) {
-      // consumed --json[=PATH]
+    } else if (auto path = common::json_flag(arg, "")) {
+      json_path = std::move(path);
     } else if (std::strcmp(arg, "--staff") == 0) {
       facts.observer_support_staff = true;
     } else if (std::strcmp(arg, "--operator") == 0) {
@@ -357,7 +348,7 @@ int main(int argc, char** argv) {
     }
     const analyze::ReachabilityChecker checker(facts);
     const analyze::ReachReport report = checker.check_shipped();
-    if (!emit(format, sink, analyze::reach_to_markdown(report),
+    if (!emit(format, json_path, analyze::reach_to_markdown(report),
               analyze::reach_to_json(report))) {
       return 2;
     }
@@ -380,7 +371,7 @@ int main(int argc, char** argv) {
     const analyze::PathAnalyzer analyzer(facts);
     const analyze::PathReport report = analyzer.full_report(policy);
     const analyze::KnobLintReport lint = analyze::knob_lint();
-    if (!emit(format, sink, analyze::paths_to_markdown(report, &lint),
+    if (!emit(format, json_path, analyze::paths_to_markdown(report, &lint),
               analyze::paths_to_json(report, &lint))) {
       return 2;
     }
@@ -402,7 +393,7 @@ int main(int argc, char** argv) {
                    "heus-lint: --trace reviews one policy, not --site\n");
       return 2;
     }
-    return run_trace(policy, format, sink);
+    return run_trace(policy, format, json_path);
   }
   if (!site_dir.empty()) {
     std::string error;
@@ -413,7 +404,7 @@ int main(int argc, char** argv) {
     }
     const analyze::ingest::SiteReview review =
         analyze::ingest::review_site(std::move(*site), facts);
-    if (!emit(format, sink, analyze::ingest::to_markdown(review),
+    if (!emit(format, json_path, analyze::ingest::to_markdown(review),
               analyze::ingest::to_json(review))) {
       return 2;
     }
@@ -432,14 +423,14 @@ int main(int argc, char** argv) {
   if (degraded) {
     const analyze::DegradedReport census =
         analyze::degraded_census(analyzer, policy);
-    if (!emit(format, sink, analyze::to_markdown(census),
+    if (!emit(format, json_path, analyze::to_markdown(census),
               degraded_to_json(census))) {
       return 2;
     }
     return 0;
   }
   const analyze::AnalysisReport report = analyzer.analyze(policy);
-  if (!emit(format, sink, analyze::to_markdown(report),
+  if (!emit(format, json_path, analyze::to_markdown(report),
             analyze::to_json(report))) {
     return 2;
   }

@@ -64,7 +64,7 @@ TEST(GoldenLintTest, BaselineMarkdown) {
 
 TEST(GoldenLintTest, BaselineJson) {
   const std::string json =
-      to_json(census(core::SeparationPolicy::baseline()));
+      to_json(census(core::SeparationPolicy::baseline())).dump();
   expect_valid_json(json);
   compare_with_golden("lint_baseline.json", json);
 }
@@ -77,7 +77,7 @@ TEST(GoldenLintTest, HardenedMarkdown) {
 
 TEST(GoldenLintTest, HardenedJson) {
   const std::string json =
-      to_json(census(core::SeparationPolicy::hardened()));
+      to_json(census(core::SeparationPolicy::hardened())).dump();
   expect_valid_json(json);
   compare_with_golden("lint_hardened.json", json);
 }
@@ -98,7 +98,7 @@ TEST(GoldenSiteTest, ExampleSiteMarkdown) {
 }
 
 TEST(GoldenSiteTest, ExampleSiteJson) {
-  const std::string json = ingest::to_json(example_review());
+  const std::string json = ingest::to_json(example_review()).dump();
   expect_valid_json(json);
   compare_with_golden("site_review.json", json);
 }

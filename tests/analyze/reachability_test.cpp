@@ -106,7 +106,7 @@ TEST(Reachability, RenderersCoverCleanReport) {
   const std::string md = reach_to_markdown(report);
   EXPECT_NE(md.find("flow"), std::string::npos);
   EXPECT_NE(md.find("portal-session"), std::string::npos);
-  const std::string json = reach_to_json(report);
+  const std::string json = reach_to_json(report).dump();
   EXPECT_NE(json.find("\"clean\": true"), std::string::npos);
   EXPECT_NE(json.find("\"machines\""), std::string::npos);
 }

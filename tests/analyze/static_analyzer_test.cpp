@@ -202,7 +202,7 @@ TEST(Report, MarkdownAndJsonCarryTheCensus) {
   EXPECT_NE(md2.find("## Minimal hardening"), std::string::npos);
   EXPECT_NE(md2.find("harden ubf"), std::string::npos);
 
-  const std::string json = to_json(baseline);
+  const std::string json = to_json(baseline).dump();
   EXPECT_NE(json.find("\"channels\": ["), std::string::npos);
   EXPECT_NE(json.find("\"verdict\": \"open\""), std::string::npos);
   EXPECT_NE(json.find("\"minimal_hardening\""), std::string::npos);

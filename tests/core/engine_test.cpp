@@ -3,6 +3,7 @@
 // machine-independent work model, and per-group Rng stream identity.
 #include <gtest/gtest.h>
 
+#include <stdexcept>
 #include <utility>
 #include <vector>
 
@@ -144,6 +145,21 @@ TEST(ShardedEngine, SerialTickRunsAfterCrossDrain) {
   EXPECT_EQ(events[0], 1);
   EXPECT_EQ(events[1], 1);
   EXPECT_EQ(events[2], 2);
+}
+
+TEST(ShardedEngine, ThrowingGroupTaskFailsTheTickBeforeTheSerialPhase) {
+  EngineFixture fx(4, 2, 8);
+  bool cross_ran = false;
+  bool serial_ran = false;
+  fx.engine->set_group_tick([&](std::uint32_t g, common::Rng&) {
+    fx.engine->post_cross(g, [&cross_ran] { cross_ran = true; });
+    if (g == 2) throw std::runtime_error("group 2 failed mid-stream");
+  });
+  fx.engine->set_serial_tick([&serial_ran] { serial_ran = true; });
+  EXPECT_THROW(fx.engine->tick(), std::runtime_error);
+  EXPECT_FALSE(cross_ran) << "the cross-group drain must not run";
+  EXPECT_FALSE(serial_ran) << "the serial phase must not run";
+  EXPECT_EQ(fx.engine->stats().ticks, 0u);
 }
 
 }  // namespace

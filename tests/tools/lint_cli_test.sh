@@ -47,6 +47,23 @@ check 2 "not a readable directory" --site=/nonexistent/site/dir
 check 2 "does not combine" --reach --site="$site"
 check 2 "does not combine" --reach --trace
 
+# A failed --json write must reach the exit code, even for a document
+# smaller than the stdio buffer. stdout still carries the markdown
+# report, so this case cannot use check().
+if [ -w /dev/full ]; then
+  stderr_file="lint_cli_err.$$"
+  "$lint" --reach --json=/dev/full >/dev/null 2>"$stderr_file"
+  code=$?
+  if [ "$code" -eq 2 ] && grep -q "cannot write" "$stderr_file"; then
+    echo "ok: heus-lint --reach --json=/dev/full => exit $code"
+  else
+    echo "FAIL: heus-lint --reach --json=/dev/full => exit $code" \
+         "(want 2 with 'cannot write' on stderr)"
+    failures=$((failures + 1))
+  fi
+  rm -f "$stderr_file"
+fi
+
 # Sanity: the good paths still work and obey exit-code conventions.
 "$lint" --policy=hardened --gate >/dev/null 2>&1 || {
   echo "FAIL: hardened policy must pass the gate"; failures=$((failures + 1));
