@@ -1,7 +1,6 @@
 #include "core/engine.h"
 
 #include <algorithm>
-#include <cassert>
 #include <cstring>
 #include <stdexcept>
 
@@ -74,8 +73,10 @@ void ShardedEngine::tick() {
   // fault model advances the clock from inside ident retries and fault
   // schedules, which would make time depend on interleaving — faulted
   // workloads belong to the serial single-worker path, not the engine.
-  assert(network_->fault_model() == nullptr &&
-         "sharded ticks require a fault-free network");
+  if (network_->fault_model() != nullptr) {
+    throw std::logic_error(
+        "ShardedEngine::tick: sharded ticks require a fault-free network");
+  }
   network_->set_defer_charges(true);
 
   if (group_fn_) {

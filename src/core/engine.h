@@ -5,7 +5,8 @@
 //
 //   parallel intra-group phase   one WorkerPool task per group, each
 //                                running under a net::ShardScope so any
-//                                touch of another group's state asserts;
+//                                touch of another group's state throws
+//                                and fails the tick;
 //   deterministic barrier        WorkerPool::wait_idle();
 //   ordered cross-group phase    operations the parallel phase posted via
 //                                post_cross() are drained on the
@@ -17,7 +18,7 @@
 //
 // Determinism argument: the clock is frozen during the parallel phase
 // (defer-charge mode), each group's operation stream is serial and
-// touches only that group's bucket + hosts (ShardScope-asserted), each
+// touches only that group's bucket + hosts (ShardScope-checked), each
 // group's Rng is seeded from (seed, group), and everything with
 // cross-group reach runs on the coordinator in a fixed order. Execution
 // is therefore a function of (workload, G) — independent of the worker
@@ -35,6 +36,8 @@
 // NOTE: constructing the engine calls Network::enable_sharding(), which
 // re-buckets UBF state on the next Ubf::attach() — when a UBF is already
 // attached (Cluster), re-apply the policy after constructing the engine.
+// A UBF left attached from before sharding throws std::logic_error, in
+// every build type, on an admission in a bucket it has no shard for.
 #pragma once
 
 #include <cstdint>
@@ -120,7 +123,8 @@ class ShardedEngine {
 
   /// Run one BSP tick (see file header for the phase structure). Throws
   /// std::runtime_error, before the cross-group drain and the serial
-  /// phase, once any group tick task has thrown.
+  /// phase, once any group tick task has thrown, and std::logic_error,
+  /// before any task runs, when the network has a fault model set.
   void tick();
 
   [[nodiscard]] std::uint32_t groups() const { return groups_; }

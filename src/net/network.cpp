@@ -2,6 +2,7 @@
 
 #include <algorithm>
 #include <cassert>
+#include <stdexcept>
 
 namespace heus::net {
 
@@ -19,11 +20,18 @@ ShardScope::~ShardScope() { tl_shard_scope = prev_; }
 int ShardScope::current() { return tl_shard_scope; }
 
 void Network::assert_scope(std::uint32_t b) {
-  assert(tl_shard_scope < 0 || tl_shard_scope == static_cast<int>(b));
-  (void)b;
+  if (tl_shard_scope >= 0 && tl_shard_scope != static_cast<int>(b)) {
+    throw std::logic_error(
+        "net: operation touches a bucket outside the thread's ShardScope");
+  }
 }
 
-void Network::assert_serial_phase() { assert(tl_shard_scope < 0); }
+void Network::assert_serial_phase() {
+  if (tl_shard_scope >= 0) {
+    throw std::logic_error(
+        "net: serial-phase operation called inside a ShardScope");
+  }
+}
 
 HostId Network::add_host(const std::string& name) {
   const HostId id{static_cast<std::uint32_t>(hosts_.size())};

@@ -164,10 +164,11 @@ struct NetworkStats {
 
 /// RAII guard a sharded-engine worker installs while running one node
 /// group's intra-shard phase. While a scope is active on a thread, every
-/// Network operation on that thread asserts that it touches only the
-/// scoped bucket — catching cross-shard state access at the exact call
-/// site instead of as a data race. Serial (barrier-phase) code runs with
-/// no scope installed and may touch anything.
+/// Network operation on that thread checks that it touches only the
+/// scoped bucket and throws std::logic_error otherwise, in every build
+/// type — catching cross-shard state access at the exact call site
+/// instead of as a data race. Serial (barrier-phase) code runs with no
+/// scope installed and may touch anything.
 class ShardScope {
  public:
   explicit ShardScope(std::uint32_t bucket);
@@ -593,7 +594,8 @@ class Network {
   [[nodiscard]] const Bucket& bucket_of(FlowId id) const {
     return buckets_.at(flow_bucket(id));
   }
-  /// Debug-build check that `b` is legal under the thread's ShardScope.
+  /// Throws std::logic_error unless `b` is legal under the thread's
+  /// ShardScope. Always on: one thread-local compare per operation.
   static void assert_scope(std::uint32_t b);
   /// As above, but for operations that may touch several buckets (host
   /// teardown, stats merges): legal only with no scope installed.

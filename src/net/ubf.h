@@ -14,8 +14,8 @@
 // data path is unchanged — the zero-overhead property the paper leans on.
 #pragma once
 
-#include <cassert>
 #include <cstdint>
+#include <stdexcept>
 #include <string>
 #include <vector>
 
@@ -239,10 +239,14 @@ class Ubf {
 
   /// The shard owning this request: the network bucket of its endpoints.
   /// Out-of-range means the network was sharded after attach() — the
-  /// daemon must be re-attached (Cluster::apply_policy) first.
+  /// daemon must be re-attached (Cluster::apply_policy) first; until then
+  /// an admission in a bucket it has no shard for throws
+  /// std::logic_error instead of deciding.
   [[nodiscard]] Shard& shard_for(const ConnRequest& req) {
     const std::uint32_t b = network_->op_bucket(req.src_host, req.dst_host);
-    assert(b < shards_.size() && "re-attach the UBF after enable_sharding");
+    if (b >= shards_.size()) {
+      throw std::logic_error("Ubf: re-attach the UBF after enable_sharding");
+    }
     return shards_[b];
   }
 

@@ -82,6 +82,35 @@ void DecisionTrace::LabelRing::clear(common::Arena& arena) {
   used_ = 0;
 }
 
+std::size_t DecisionTrace::next_stripe() {
+  static std::atomic<std::size_t> next{0};
+  return next.fetch_add(1, std::memory_order_relaxed) % kStripes;
+}
+
+PointCounters DecisionTrace::counters(DecisionPoint point) const {
+  PointCounters c;
+  const std::size_t i = 2 * point_index(point);
+  for (const Stripe& s : stripes_) {
+    c.allowed += s.counts[i].load(std::memory_order_relaxed);
+    c.denied += s.counts[i + 1].load(std::memory_order_relaxed);
+  }
+  return c;
+}
+
+std::uint64_t DecisionTrace::total() const {
+  std::uint64_t sum = 0;
+  for (const Stripe& s : stripes_) {
+    for (const auto& n : s.counts) sum += n.load(std::memory_order_relaxed);
+  }
+  return sum;
+}
+
+void DecisionTrace::set_enabled(bool enabled) {
+  std::lock_guard<std::mutex> lock(mu_);
+  if (enabled && !enabled_) next_seq_ = total();
+  enabled_ = enabled;
+}
+
 void DecisionTrace::set_capacity(std::size_t capacity) {
   std::lock_guard<std::mutex> lock(mu_);
   capacity_ = capacity == 0 ? 1 : capacity;
@@ -91,9 +120,11 @@ void DecisionTrace::set_capacity(std::size_t capacity) {
 void DecisionTrace::clear() {
   std::lock_guard<std::mutex> lock(mu_);
   drop_rows();
-  seq_ = 0;
+  next_seq_ = 0;
   overwritten_ = 0;
-  counters_.fill(PointCounters{});
+  for (Stripe& s : stripes_) {
+    for (auto& n : s.counts) n.store(0, std::memory_order_relaxed);
+  }
 }
 
 void DecisionTrace::drop_rows() {
@@ -133,7 +164,7 @@ void DecisionTrace::append_record(DecisionPoint point, Outcome outcome,
     ++overwritten_;
     labels_.release_oldest(rows_.label_len[slot]);
   }
-  rows_.seq[slot] = seq_++;
+  rows_.seq[slot] = next_seq_++;
   rows_.time[slot] = clock_ ? clock_->now() : common::SimTime{};
   rows_.point[slot] = point;
   rows_.outcome[slot] = outcome;

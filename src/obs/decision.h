@@ -14,17 +14,23 @@
 // differentially cross-checked (tests/obs/decision_oracle_test.cpp).
 //
 // Cost model: the trace is owned by Cluster and is DISABLED by default.
-// Disabled, record() bumps two integers and returns — the object-label
-// callback is never invoked, so no allocation happens per decision
-// (bench_decision_trace, E21, pins this at exactly zero). Enabled, the
-// label callback appends into a reusable scratch buffer, and the ring is
-// stored struct-of-arrays (one dense array per field) with the labels
-// interned into an arena-backed FIFO byte ring, so a steady-state
-// record() allocates nothing either (bench_layout, E26); old records are
-// overwritten, never reallocated past the configured capacity.
+// Every record() first counts its verdict with one relaxed atomic add on
+// the calling thread's counter stripe: a cache-line-aligned block of
+// allow/deny pairs per point, one per thread (up to kStripes), so
+// concurrent workers share neither a lock nor a cache line. Disabled,
+// record() then returns — no lock, and the object-label callback is
+// never invoked, so no allocation happens per decision
+// (bench_decision_trace, E21, pins this at exactly zero). Enabled, it
+// takes the ring's mutex; the label callback appends into a reusable
+// scratch buffer, and the ring is stored struct-of-arrays (one dense
+// array per field) with the labels interned into an arena-backed FIFO
+// byte ring, so a steady-state record() allocates nothing either
+// (bench_layout, E26); old records are overwritten, never reallocated
+// past the configured capacity.
 #pragma once
 
 #include <array>
+#include <atomic>
 #include <concepts>
 #include <cstddef>
 #include <cstdint>
@@ -132,18 +138,22 @@ class DecisionTrace {
   /// The clock the records are stamped with. Must outlive the trace.
   void set_clock(const common::SimClock* clock) { clock_ = clock; }
 
-  void set_enabled(bool enabled) { enabled_ = enabled; }
+  /// Enabling a disabled trace starts the ring's next seq at total(), so
+  /// in serial use an enabled record's seq is the total() just before it.
+  /// Not to be called while another thread records.
+  void set_enabled(bool enabled);
   [[nodiscard]] bool enabled() const { return enabled_; }
 
   /// Resize the ring. Drops buffered records (counters are kept).
   void set_capacity(std::size_t capacity);
 
-  /// Drop buffered records and reset counters and sequence numbers.
+  /// Drop buffered records and reset counters and sequence numbers. Not
+  /// to be called while another thread records.
   void clear();
 
   /// Record one verdict. `make_object` is only invoked (and the record
   /// only materialised) when the trace is enabled; disabled-mode cost is
-  /// two counter increments.
+  /// one relaxed atomic add on this thread's stripe, with no lock.
   ///
   /// `make_object` appends the object label to the buffer it is handed:
   /// `[&](std::string& out) { out += ...; obs::append_uint(out, n); }`.
@@ -158,19 +168,13 @@ class DecisionTrace {
               std::optional<ChannelKind> channel, const char* knob,
               MakeObject&& make_object, bool from_cache = false) {
     // Thread-safe: the sharded engine records from worker threads. The
-    // lock_guard itself never allocates, so the disabled-mode cost stays
-    // two counter increments and zero allocations (E21's pinned gate).
+    // count lands on this thread's stripe whether or not the ring is
+    // enabled; only the ring append takes the lock.
+    stripes_[this_thread_stripe()]
+        .counts[2 * point_index(point) + (outcome == Outcome::deny ? 1 : 0)]
+        .fetch_add(1, std::memory_order_relaxed);
+    if (!enabled_) return;
     std::lock_guard<std::mutex> lock(mu_);
-    PointCounters& c = counters_[point_index(point)];
-    if (outcome == Outcome::allow) {
-      ++c.allowed;
-    } else {
-      ++c.denied;
-    }
-    if (!enabled_) {
-      ++seq_;
-      return;
-    }
     scratch_.clear();
     make_object(scratch_);
     append_record(point, outcome, subject, subject_gid, object_owner,
@@ -180,12 +184,12 @@ class DecisionTrace {
   /// Buffered records, oldest first (seq order).
   [[nodiscard]] std::vector<Decision> snapshot() const;
 
-  [[nodiscard]] const PointCounters& counters(DecisionPoint point) const {
-    return counters_[point_index(point)];
-  }
+  /// Sums of the stripes: exact once the recording threads have been
+  /// joined or a barrier has been crossed (the engine reads between ticks).
+  [[nodiscard]] PointCounters counters(DecisionPoint point) const;
   /// Total verdicts observed (allow + deny, all points), including ones
   /// rendered while disabled or already overwritten in the ring.
-  [[nodiscard]] std::uint64_t total() const { return seq_; }
+  [[nodiscard]] std::uint64_t total() const;
   /// Records currently buffered.
   [[nodiscard]] std::size_t size() const { return size_; }
   [[nodiscard]] std::size_t capacity() const { return capacity_; }
@@ -215,6 +219,25 @@ class DecisionTrace {
     std::size_t used_ = 0;      // live bytes
   };
 
+  /// Counter stripes per trace. A thread's stripe index is process-wide
+  /// (the same in every trace), dealt round-robin in the order threads
+  /// first record; two threads sharing one costs contention, never a
+  /// count.
+  static constexpr std::size_t kStripes = 16;
+  /// One thread's counters: an allow/deny pair per point (index
+  /// 2 * point_index + (deny ? 1 : 0)), on cache lines of its own.
+  struct alignas(64) Stripe {
+    std::array<std::atomic<std::uint64_t>, 2 * kAllDecisionPoints.size()>
+        counts{};
+  };
+  /// This thread's stripe index, assigned on its first record.
+  [[nodiscard]] static std::size_t this_thread_stripe() {
+    thread_local const std::size_t stripe = next_stripe();
+    return stripe;
+  }
+  /// The next stripe index, from a process-wide counter.
+  [[nodiscard]] static std::size_t next_stripe();
+
   /// Caller holds mu_. Interns `label` and writes one SoA row.
   void append_record(DecisionPoint point, Outcome outcome, Uid subject,
                      Gid subject_gid, Uid object_owner,
@@ -225,10 +248,8 @@ class DecisionTrace {
   /// Caller holds mu_. Materialises the row at ring position `pos`.
   [[nodiscard]] Decision materialise(std::size_t pos) const;
 
-  /// Guards the ring, counters and sequence number. Accessors that return
-  /// references (counters()) are safe to use once worker threads have been
-  /// joined or a barrier has been crossed — the engine only reads between
-  /// ticks.
+  /// Guards the ring and its sequence number; the counters live on the
+  /// stripes, outside the lock.
   mutable std::mutex mu_;
   const common::SimClock* clock_ = nullptr;
   bool enabled_ = false;
@@ -258,9 +279,9 @@ class DecisionTrace {
   std::string scratch_;    ///< reusable label build buffer
   std::size_t head_ = 0;  ///< next slot to write once the ring is full
   std::size_t size_ = 0;
-  std::uint64_t seq_ = 0;
+  std::uint64_t next_seq_ = 0;  ///< seq of the next ring record
   std::uint64_t overwritten_ = 0;
-  CountersArray counters_{};
+  std::array<Stripe, kStripes> stripes_{};
 };
 
 }  // namespace heus::obs

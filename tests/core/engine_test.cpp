@@ -1,15 +1,21 @@
 // Unit tests for the sharded BSP engine (ISSUE 9 tentpole): shard-map
 // construction, cross-op ordering, deferred clock charging, the
-// machine-independent work model, and per-group Rng stream identity.
+// machine-independent work model, per-group Rng stream identity, and the
+// always-on partition checks.
 #include <gtest/gtest.h>
 
+#include <atomic>
 #include <stdexcept>
+#include <string>
 #include <utility>
 #include <vector>
 
 #include "common/clock.h"
 #include "core/engine.h"
 #include "net/network.h"
+#include "net/ubf.h"
+#include "simos/credentials.h"
+#include "simos/user_db.h"
 
 namespace heus::core {
 namespace {
@@ -160,6 +166,87 @@ TEST(ShardedEngine, ThrowingGroupTaskFailsTheTickBeforeTheSerialPhase) {
   EXPECT_FALSE(cross_ran) << "the cross-group drain must not run";
   EXPECT_FALSE(serial_ran) << "the serial phase must not run";
   EXPECT_EQ(fx.engine->stats().ticks, 0u);
+}
+
+// The partition checks below are always on: each throws std::logic_error
+// in every build type, release included, and a throw inside a group task
+// fails the tick before the cross-group drain.
+
+TEST(ShardedEngine, ListenOnAnotherGroupsHostFailsTheTick) {
+  EngineFixture fx(2, 2, 4);
+  fx.engine->set_group_tick([&](std::uint32_t g, common::Rng&) {
+    if (g == 0) {
+      (void)fx.nw->listen(fx.by_group[1][0], simos::Credentials{}, Pid{1},
+                          net::Proto::tcp, 5000);
+    }
+  });
+  EXPECT_THROW(fx.engine->tick(), std::runtime_error);
+  EXPECT_EQ(fx.engine->pool().failed_tasks(), 1u);
+
+  // The same call under group 0's scope on this thread: the check itself.
+  net::ShardScope scope(0);
+  EXPECT_THROW((void)fx.nw->listen(fx.by_group[1][0], simos::Credentials{},
+                                   Pid{1}, net::Proto::tcp, 5000),
+               std::logic_error);
+}
+
+TEST(ShardedEngine, SerialPhaseOpInsideAGroupTaskFailsTheTick) {
+  EngineFixture fx(2, 2, 4);
+  fx.engine->set_group_tick([&](std::uint32_t g, common::Rng&) {
+    if (g == 1) (void)fx.nw->reset_host(fx.by_group[1][0]);
+  });
+  EXPECT_THROW(fx.engine->tick(), std::runtime_error);
+  EXPECT_EQ(fx.engine->pool().failed_tasks(), 1u);
+}
+
+TEST(ShardedEngine, TickWithAFaultModelThrowsBeforeAnyTaskRuns) {
+  struct NoFaults final : net::FaultModel {
+    bool ident_down(HostId) const override { return false; }
+    std::int64_t ident_extra_ns(HostId) const override { return 0; }
+    bool partitioned(HostId, HostId) const override { return false; }
+    bool drop_packet(HostId, HostId) override { return false; }
+  };
+  EngineFixture fx(2, 2, 4);
+  NoFaults faults;
+  fx.nw->set_fault_model(&faults);
+  std::atomic<int> tasks_run{0};
+  fx.engine->set_group_tick(
+      [&](std::uint32_t, common::Rng&) { ++tasks_run; });
+  EXPECT_THROW(fx.engine->tick(), std::logic_error);
+  EXPECT_EQ(tasks_run.load(), 0);
+  EXPECT_FALSE(fx.nw->defer_charges());
+  EXPECT_EQ(fx.engine->stats().ticks, 0u);
+}
+
+TEST(ShardedEngine, UbfAttachedBeforeShardingFailsTheTick) {
+  constexpr std::size_t kHosts = 8;
+  common::SimClock clock;
+  net::Network nw(&clock);
+  std::vector<HostId> hosts;
+  for (std::size_t h = 0; h < kHosts; ++h) {
+    hosts.push_back(nw.add_host("h" + std::to_string(h)));
+  }
+  simos::UserDb db;
+  const simos::Credentials alice =
+      *simos::login(db, *db.create_user("alice"));
+  net::Ubf ubf(&db, &nw);
+  ubf.attach();  // sized for the unsharded fabric's single bucket
+
+  const ShardMap map = ShardMap::blocks(kHosts, 4);
+  EngineConfig cfg;
+  cfg.workers = 2;
+  ShardedEngine engine(&nw, &clock, map, cfg);
+  ASSERT_EQ(map.host_group[6], 3u);
+  ASSERT_EQ(map.host_group[7], 3u);
+  ASSERT_TRUE(nw.listen(hosts[7], alice, Pid{2}, net::Proto::tcp, 5000));
+  engine.set_group_tick([&](std::uint32_t g, common::Rng&) {
+    if (g == 3) {
+      (void)nw.connect(hosts[6], alice, Pid{1}, hosts[7], net::Proto::tcp,
+                       5000);
+    }
+  });
+  EXPECT_THROW(engine.tick(), std::runtime_error);
+  EXPECT_EQ(engine.pool().failed_tasks(), 1u);
 }
 
 }  // namespace

@@ -1,9 +1,9 @@
 // Unit tests for the heus::obs decision spine: ring-buffer wraparound,
 // the disabled-mode cost contract (exact counters, zero materialised
-// records, deferred object construction), UBF cache-hit decisions
-// replaying the original attribution, the one-form label contract, and
-// the exact label text every enforcement point writes on a hardened
-// cluster.
+// records, deferred object construction), the seq/total() contract, UBF
+// cache-hit decisions replaying the original attribution, the one-form
+// label contract, and the exact label text every enforcement point
+// writes on a hardened cluster.
 #include <gtest/gtest.h>
 
 #include <optional>
@@ -110,6 +110,61 @@ TEST(DecisionTraceTest, ClearResetsRecordsAndCounters) {
   EXPECT_EQ(trace.total(), 0u);
   EXPECT_EQ(trace.overwritten(), 0u);
   EXPECT_EQ(trace.counters(DecisionPoint::pam_ssh).denied, 0u);
+}
+
+// An enabled record's seq is total() just before it, across disabled
+// stretches, set_capacity() and clear(). The path oracle's knob window
+// (analyze/path_oracle.cpp) and `heus-lint --trace` rely on this.
+TEST(DecisionTraceTest, EnabledSeqContinuesTheCountedTotal) {
+  DecisionTrace trace;
+  unsigned n = 0;
+  auto one = [&] {
+    trace.record(DecisionPoint::fs_access,
+                 n++ % 2 == 0 ? Outcome::allow : Outcome::deny, Uid{1000},
+                 Gid{1000}, Uid{1001}, ChannelKind::fs_home_read, nullptr,
+                 [](std::string& out) { out += "/home/victim/file"; });
+  };
+  auto total_at_fs_access = [&] {
+    const PointCounters c = trace.counters(DecisionPoint::fs_access);
+    return c.allowed + c.denied;
+  };
+  constexpr std::uint64_t kDisabled = 7;
+  for (std::uint64_t i = 0; i < kDisabled; ++i) one();
+  EXPECT_EQ(trace.total(), kDisabled);
+  EXPECT_EQ(trace.size(), 0u);
+
+  // Enabling starts the ring at the total counted while disabled.
+  trace.set_enabled(true);
+  one();
+  ASSERT_EQ(trace.size(), 1u);
+  EXPECT_EQ(trace.snapshot().back().seq, kDisabled);
+  EXPECT_EQ(trace.total(), kDisabled + 1);
+
+  // set_capacity() drops the ring but keeps the counters and the seq.
+  trace.set_capacity(8);
+  EXPECT_EQ(trace.size(), 0u);
+  EXPECT_EQ(trace.total(), kDisabled + 1);
+  EXPECT_EQ(total_at_fs_access(), kDisabled + 1);
+  one();
+  EXPECT_EQ(trace.snapshot().back().seq, kDisabled + 1);
+
+  // Verdicts counted while disabled again are skipped over on re-enable.
+  trace.set_enabled(false);
+  for (int i = 0; i < 3; ++i) one();
+  trace.set_enabled(true);
+  const std::uint64_t before = trace.total();
+  one();
+  EXPECT_EQ(trace.snapshot().back().seq, before);
+  EXPECT_EQ(trace.total(), before + 1);
+
+  // clear() restarts the counters and the seq at 0.
+  trace.clear();
+  EXPECT_EQ(trace.total(), 0u);
+  EXPECT_EQ(total_at_fs_access(), 0u);
+  one();
+  ASSERT_EQ(trace.size(), 1u);
+  EXPECT_EQ(trace.snapshot().front().seq, 0u);
+  EXPECT_EQ(trace.total(), 1u);
 }
 
 TEST(DecisionTraceTest, UbfCacheHitReplaysOriginalAttribution) {
