@@ -14,11 +14,17 @@
 namespace heus::bench {
 namespace {
 
+// One full-device tenant cycle per iteration: the tenant writes every byte,
+// then the epilog scrub discards them. The device stores only its written
+// extent, so scrubbing a device nobody wrote would time nothing.
 void BM_ScrubThroughput(benchmark::State& state) {
   const auto mem = static_cast<std::size_t>(state.range(0));
   gpu::GpuDevice dev(GpuId{0}, mem);
+  const std::string tensor(mem, 'x');
   for (auto _ : state) {
+    benchmark::DoNotOptimize(dev.write(Uid{1000}, 0, tensor));
     benchmark::DoNotOptimize(dev.scrub());
+    benchmark::ClobberMemory();
   }
   state.SetBytesProcessed(static_cast<std::int64_t>(state.iterations()) *
                           static_cast<std::int64_t>(mem));

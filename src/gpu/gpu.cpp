@@ -1,7 +1,6 @@
 #include "gpu/gpu.h"
 
 #include <algorithm>
-#include <cstring>
 
 namespace heus::gpu {
 
@@ -20,32 +19,37 @@ Result<void> GpuDevice::release() {
 
 Result<void> GpuDevice::write(Uid user, std::size_t offset,
                               std::string_view data) {
-  if (offset + data.size() > memory_.size()) return Errno::einval;
-  std::memcpy(memory_.data() + offset, data.data(), data.size());
+  // Bounds are compared without forming `offset + len`, which can wrap.
+  if (offset > mem_bytes_ || data.size() > mem_bytes_ - offset) {
+    return Errno::einval;
+  }
+  if (offset > memory_.size()) memory_.resize(offset);  // zero-fills the gap
+  memory_.replace(offset, data.size(), data);
   last_writer_ = user;
   return ok_result();
 }
 
 Result<std::string> GpuDevice::read(Uid user, std::size_t offset,
                                     std::size_t len) {
-  if (offset + len > memory_.size()) return Errno::einval;
+  if (offset > mem_bytes_ || len > mem_bytes_ - offset) return Errno::einval;
   if (last_writer_ && *last_writer_ != user) {
     // The confidentiality failure the epilog scrub exists to prevent:
     // this read observes a previous tenant's bytes.
     ++stats_.residue_reads;
   }
-  return std::string(reinterpret_cast<const char*>(memory_.data()) + offset,
-                     len);
+  std::string out = memory_.substr(std::min(offset, memory_.size()), len);
+  out.resize(len);  // zeros past the written extent
+  return out;
 }
 
 std::int64_t GpuDevice::scrub() {
-  std::fill(memory_.begin(), memory_.end(), std::uint8_t{0});
+  memory_.clear();  // keeps the storage for the next tenant
   last_writer_.reset();
   ++stats_.scrubs;
-  stats_.scrubbed_bytes += memory_.size();
+  stats_.scrubbed_bytes += mem_bytes_;
   // Round up so even tiny (test-sized) buffers charge nonzero time.
   return std::max<std::int64_t>(
-      1, static_cast<std::int64_t>(static_cast<double>(memory_.size()) /
+      1, static_cast<std::int64_t>(static_cast<double>(mem_bytes_) /
                                    kScrubBytesPerNs));
 }
 

@@ -10,7 +10,9 @@
 // allocated user's private group (done by core::Cluster in the prolog) and
 // (2) by running a vendor scrub in the scheduler epilog. The device model
 // here keeps an actual byte buffer so tests can literally recover a
-// previous tenant's plaintext when the scrub is disabled.
+// previous tenant's plaintext when the scrub is disabled. The buffer holds
+// only the written extent of device memory; every byte past it reads as
+// zero, so a device costs nothing until a tenant writes to it.
 #pragma once
 
 #include <cstdint>
@@ -39,10 +41,12 @@ struct GpuStats {
 class GpuDevice {
  public:
   GpuDevice(GpuId id, std::size_t mem_bytes)
-      : id_(id), memory_(mem_bytes, std::uint8_t{0}) {}
+      : id_(id), mem_bytes_(mem_bytes) {}
 
   [[nodiscard]] GpuId id() const { return id_; }
-  [[nodiscard]] std::size_t mem_bytes() const { return memory_.size(); }
+  /// Logical device size: the range `write`/`read` accept and the bytes
+  /// a scrub is charged for, however little of it is stored.
+  [[nodiscard]] std::size_t mem_bytes() const { return mem_bytes_; }
 
   /// Scheduler prolog: hand the device to a user. The device itself does
   /// not scrub on assignment (property 2) — that is the epilog's job.
@@ -60,7 +64,9 @@ class GpuDevice {
   Result<std::string> read(Uid user, std::size_t offset, std::size_t len);
 
   /// Vendor scrub: zero memory and registers. Returns the simulated
-  /// duration in nanoseconds (proportional to memory size).
+  /// duration in nanoseconds (proportional to `mem_bytes()`). The model
+  /// drops the written extent, so the host-side cost does not depend on
+  /// the device size.
   std::int64_t scrub();
 
   /// Record a failed scrub attempt (the epilog's fault path): memory is
@@ -77,7 +83,10 @@ class GpuDevice {
 
  private:
   GpuId id_;
-  std::vector<std::uint8_t> memory_;
+  std::size_t mem_bytes_;
+  /// Device memory up to its written extent. `write` grows it (never
+  /// shrinks it); `scrub` empties it.
+  std::string memory_;
   std::optional<Uid> assigned_;
   std::optional<Uid> last_writer_;
   GpuStats stats_;

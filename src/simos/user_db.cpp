@@ -52,7 +52,7 @@ Result<Gid> UserDb::create_project_group(const std::string& name,
   auto gid = create_group_internal(name, GroupKind::project);
   if (!gid) return gid.error();
   Group& g = groups_.at(*gid);
-  g.members.insert(steward);
+  join(g, steward);
   g.stewards.insert(steward);
   ++generation_;
   return *gid;
@@ -69,7 +69,7 @@ Result<void> UserDb::add_member(Uid actor, Gid group, Uid member) {
   Group& g = it->second;
   if (g.kind != GroupKind::project) return Errno::eperm;
   if (actor != kRootUid && !g.stewards.contains(actor)) return Errno::eperm;
-  g.members.insert(member);
+  join(g, member);
   ++generation_;
   return ok_result();
 }
@@ -81,7 +81,7 @@ Result<void> UserDb::remove_member(Uid actor, Gid group, Uid member) {
   if (g.kind != GroupKind::project) return Errno::eperm;
   if (actor != kRootUid && !g.stewards.contains(actor)) return Errno::eperm;
   if (g.stewards.contains(member)) return Errno::ebusy;
-  if (g.members.erase(member) == 0) return Errno::enoent;
+  if (!leave(g, member)) return Errno::enoent;
   ++generation_;
   return ok_result();
 }
@@ -94,7 +94,7 @@ Result<void> UserDb::add_steward(Uid actor, Gid group, Uid steward) {
   if (g.kind != GroupKind::project) return Errno::eperm;
   if (actor != kRootUid && !g.stewards.contains(actor)) return Errno::eperm;
   g.stewards.insert(steward);
-  g.members.insert(steward);
+  join(g, steward);
   ++generation_;
   return ok_result();
 }
@@ -120,9 +120,22 @@ Result<void> UserDb::add_system_member(Uid actor, Gid group, Uid member) {
   if (it == groups_.end()) return Errno::enoent;
   if (!user_exists(member)) return Errno::enoent;
   if (it->second.kind != GroupKind::system) return Errno::einval;
-  it->second.members.insert(member);
+  join(it->second, member);
   ++generation_;
   return ok_result();
+}
+
+void UserDb::join(Group& g, Uid uid) {
+  if (g.members.insert(uid).second) member_of_[uid].insert(g.gid);
+}
+
+bool UserDb::leave(Group& g, Uid uid) {
+  if (g.members.erase(uid) == 0) return false;
+  if (auto it = member_of_.find(uid); it != member_of_.end()) {
+    it->second.erase(g.gid);
+    if (it->second.empty()) member_of_.erase(it);
+  }
+  return true;
 }
 
 bool UserDb::user_exists(Uid uid) const { return users_.contains(uid); }
@@ -159,9 +172,11 @@ bool UserDb::is_steward(Uid uid, Gid gid) const {
 }
 
 std::vector<Gid> UserDb::groups_of(Uid uid) const {
-  std::vector<Gid> out;
-  for (const auto& [gid, g] : groups_) {
-    if (g.members.contains(uid)) out.push_back(gid);
+  const User* user = find_user(uid);
+  if (user == nullptr) return {};
+  std::vector<Gid> out{user->private_group};
+  if (auto it = member_of_.find(uid); it != member_of_.end()) {
+    out.insert(out.end(), it->second.begin(), it->second.end());
   }
   return out;
 }

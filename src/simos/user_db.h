@@ -15,6 +15,7 @@
 #include <unordered_map>
 #include <vector>
 
+#include "common/flat_map.h"
 #include "common/ids.h"
 #include "common/result.h"
 
@@ -89,7 +90,9 @@ class UserDb {
 
   [[nodiscard]] bool is_steward(Uid uid, Gid gid) const;
 
-  /// Every group `uid` belongs to (private + project + system).
+  /// Every group `uid` belongs to: the private group first, then its
+  /// project and system groups in ascending gid order. Costs the user's
+  /// own memberships, not the number of groups in the site.
   [[nodiscard]] std::vector<Gid> groups_of(Uid uid) const;
 
   [[nodiscard]] std::size_t user_count() const { return users_.size(); }
@@ -105,11 +108,21 @@ class UserDb {
 
  private:
   Result<Gid> create_group_internal(const std::string& name, GroupKind kind);
+  /// Every change to a project or system group's member set goes through
+  /// these, which keep `member_of_` in step with `Group::members` in the
+  /// same call.
+  void join(Group& g, Uid uid);
+  [[nodiscard]] bool leave(Group& g, Uid uid);
 
   std::unordered_map<Uid, User> users_;
   std::unordered_map<Gid, Group> groups_;
   std::unordered_map<std::string, Uid> user_by_name_;
   std::unordered_map<std::string, Gid> group_by_name_;
+  /// Derived from `Group::members`, which stays the truth `is_member`
+  /// reads: the project and system groups each user has joined. Private
+  /// groups are immutable singletons and stay implicit, so an account with
+  /// no other membership has no entry here.
+  std::unordered_map<Uid, common::OrderedSet<Gid>> member_of_;
   std::uint32_t next_uid_ = 1000;  // 0 is root; 1..999 reserved for system
   std::uint32_t next_gid_ = 1000;
   std::uint64_t generation_ = 0;

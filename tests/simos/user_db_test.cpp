@@ -3,6 +3,14 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <array>
+#include <iterator>
+#include <map>
+#include <string>
+#include <vector>
+
+#include "common/rng.h"
+#include "simos/credentials.h"
 
 namespace heus::simos {
 namespace {
@@ -131,6 +139,25 @@ TEST_F(UserDbTest, GroupsOfListsEverything) {
   EXPECT_NE(std::find(groups.begin(), groups.end(), proj), groups.end());
 }
 
+TEST_F(UserDbTest, RevokedMemberLosesProjectAtNextLogin) {
+  const Uid alice = *db.create_user("alice");
+  const Uid bob = *db.create_user("bob");
+  const Gid proj = *db.create_project_group("widgets", alice);
+  ASSERT_TRUE(db.add_member(alice, proj, bob).ok());
+  const Credentials before = *login(db, bob);
+  ASSERT_TRUE(before.supplementary.contains(proj));
+  ASSERT_TRUE(newgrp(db, before, proj).ok());
+
+  ASSERT_TRUE(db.remove_member(alice, proj, bob).ok());
+  const Credentials after = *login(db, bob);
+  EXPECT_FALSE(after.supplementary.contains(proj));
+  EXPECT_EQ(db.groups_of(bob), std::vector<Gid>{after.egid});
+  // newgrp consults the database, not the session: the stale session is
+  // refused as well.
+  EXPECT_EQ(newgrp(db, after, proj).error(), Errno::eperm);
+  EXPECT_EQ(newgrp(db, before, proj).error(), Errno::eperm);
+}
+
 TEST_F(UserDbTest, GroupNameCollisionWithUserRejected) {
   ASSERT_TRUE(db.create_user("alice").ok());
   // The UPG already took the name.
@@ -143,6 +170,146 @@ TEST_F(UserDbTest, LookupsReturnNullForMissing) {
   EXPECT_EQ(db.find_group(Gid{9999}), nullptr);
   EXPECT_EQ(db.find_user_by_name("ghost"), nullptr);
   EXPECT_FALSE(db.is_member(Uid{9999}, Gid{9999}));
+}
+
+// Differential check of groups_of's per-user index against a walk over
+// every group's member set, the membership truth. A seeded random sequence
+// of account and membership operations is issued by root, a steward or a
+// stranger, so that permitted and refused calls both occur; after every
+// operation each user's groups_of and login must match the walk.
+TEST(UserDbIndexDiff, GroupsOfAndLoginMatchMembershipScan) {
+  constexpr unsigned kUsers = 64;
+  constexpr unsigned kProjects = 16;
+  constexpr unsigned kSystems = 2;
+  constexpr unsigned kOps = 10'000;
+  common::Rng rng(0x96f0'1dec);
+  UserDb db;
+  std::vector<Uid> users{kRootUid};
+  std::vector<Gid> gids{kRootGid};  // every created group, of every kind
+  std::vector<Gid> projects;
+  std::vector<Gid> systems;
+
+  const auto pick = [&rng](const auto& v) { return v[rng.bounded(v.size())]; };
+  // Root, one of the group's stewards, or any user (mostly a stranger).
+  const auto actor_for = [&](Gid gid) {
+    const Group* g = db.find_group(gid);
+    switch (rng.bounded(3)) {
+      case 0:
+        return kRootUid;
+      case 1:
+        if (g != nullptr && !g->stewards.empty()) {
+          return *std::next(g->stewards.begin(),
+                            static_cast<std::ptrdiff_t>(
+                                rng.bounded(g->stewards.size())));
+        }
+        [[fallthrough]];
+      default:
+        return pick(users);
+    }
+  };
+  // Mostly a project group; sometimes any group, so refusals on private
+  // and system groups occur too.
+  const auto target = [&] {
+    return projects.empty() || rng.chance(0.2) ? pick(gids) : pick(projects);
+  };
+
+  // [operation kind][refused, permitted]
+  std::array<std::array<unsigned, 2>, 8> outcomes{};
+
+  for (unsigned op = 0; op < kOps; ++op) {
+    const auto kind = static_cast<std::size_t>(rng.bounded(outcomes.size()));
+    bool ok = false;
+    switch (kind) {
+      case 0: {
+        // Names repeat, so duplicates are refused once all exist.
+        auto uid = db.create_user("u" + std::to_string(rng.bounded(kUsers)));
+        ok = uid.ok();
+        if (uid) {
+          users.push_back(*uid);
+          gids.push_back(db.find_user(*uid)->private_group);
+        }
+        break;
+      }
+      case 1: {
+        auto gid = db.create_project_group(
+            "p" + std::to_string(rng.bounded(kProjects)), pick(users));
+        ok = gid.ok();
+        if (gid) {
+          projects.push_back(*gid);
+          gids.push_back(*gid);
+        }
+        break;
+      }
+      case 2: {
+        auto gid =
+            db.create_system_group("s" + std::to_string(rng.bounded(kSystems)));
+        ok = gid.ok();
+        if (gid) {
+          systems.push_back(*gid);
+          gids.push_back(*gid);
+        }
+        break;
+      }
+      case 3: {
+        const Gid g = target();
+        ok = db.add_member(actor_for(g), g, pick(users)).ok();
+        break;
+      }
+      case 4: {
+        const Gid g = target();
+        ok = db.remove_member(actor_for(g), g, pick(users)).ok();
+        break;
+      }
+      case 5: {
+        const Gid g = target();
+        ok = db.add_steward(actor_for(g), g, pick(users)).ok();
+        break;
+      }
+      case 6: {
+        const Gid g = target();
+        ok = db.remove_steward(actor_for(g), g, pick(users)).ok();
+        break;
+      }
+      default: {
+        const Gid g = systems.empty() || rng.chance(0.2) ? pick(gids)
+                                                          : pick(systems);
+        const Uid actor = rng.chance(0.5) ? kRootUid : pick(users);
+        ok = db.add_system_member(actor, g, pick(users)).ok();
+        break;
+      }
+    }
+    ++outcomes[kind][ok ? 1 : 0];
+
+    // The reference: walk every created group's member set, the truth
+    // is_member reads. Gids are handed out in ascending order, so `gids`
+    // is sorted and each list comes out private group first, then
+    // ascending: the exact order groups_of promises.
+    std::map<Uid, std::vector<Gid>> scan;
+    for (const Uid u : users) scan[u] = {db.find_user(u)->private_group};
+    for (const Gid g : gids) {
+      for (const Uid m : db.find_group(g)->members) {
+        std::vector<Gid>& groups = scan.at(m);
+        if (groups.front() != g) groups.push_back(g);
+      }
+    }
+    for (const auto& [u, expected] : scan) {
+      ASSERT_EQ(db.groups_of(u), expected)
+          << "op " << op << ", uid " << u.value();
+      const auto cred = login(db, u);
+      ASSERT_TRUE(cred.ok());
+      ASSERT_EQ(std::vector<Gid>(cred->supplementary.begin(),
+                                 cred->supplementary.end()),
+                std::vector<Gid>(expected.begin() + 1, expected.end()))
+          << "op " << op << ", uid " << u.value();
+    }
+  }
+  EXPECT_EQ(users.size(), kUsers + 1);
+  EXPECT_EQ(projects.size(), kProjects);
+  EXPECT_EQ(systems.size(), kSystems);
+  for (std::size_t k = 0; k < outcomes.size(); ++k) {
+    EXPECT_GT(outcomes[k][0], 0u) << "no refused call of kind " << k;
+    EXPECT_GT(outcomes[k][1], 0u) << "no permitted call of kind " << k;
+  }
 }
 
 }  // namespace
