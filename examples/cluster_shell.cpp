@@ -266,9 +266,8 @@ void execute(ShellState& st, const std::string& line) {
     if (auto* s = need_session()) {
       std::string group, perm_str, path;
       in >> group >> perm_str >> path;
-      const simos::Group* g =
-          st.cluster.users().find_group_by_name(group);
-      if (g == nullptr) {
+      const auto g = st.cluster.users().find_group_by_name(group);
+      if (!g) {
         std::printf("setfacl: no such group\n");
         return;
       }
@@ -297,9 +296,9 @@ void execute(ShellState& st, const std::string& line) {
     if (auto* s = need_session()) {
       std::string proj, user;
       in >> proj >> user;
-      const simos::Group* g = st.cluster.users().find_group_by_name(proj);
+      const auto g = st.cluster.users().find_group_by_name(proj);
       const simos::User* u = st.cluster.users().find_user_by_name(user);
-      if (g == nullptr || u == nullptr) {
+      if (!g || u == nullptr) {
         std::printf("addmember: unknown project or user\n");
         return;
       }
@@ -316,9 +315,8 @@ void execute(ShellState& st, const std::string& line) {
     if (auto* s = need_session()) {
       std::string group;
       in >> group;
-      const simos::Group* g =
-          st.cluster.users().find_group_by_name(group);
-      if (g == nullptr) {
+      const auto g = st.cluster.users().find_group_by_name(group);
+      if (!g) {
         std::printf("newgrp: no such group\n");
         return;
       }

@@ -3,6 +3,7 @@
 #include <algorithm>
 #include <cassert>
 #include <limits>
+#include <stdexcept>
 
 namespace heus::sched {
 
@@ -473,8 +474,10 @@ void Scheduler::finish_job(Job& job, JobState final_state,
                         event != JobEvent::node_fail &&
                         static_cast<bool>(epilog_);
   const lifecycle::Transition* t = fire_job(job, event, scrubbed);
-  assert(t != nullptr && static_cast<JobState>(t->to) == final_state);
-  (void)t;
+  if (t == nullptr || static_cast<JobState>(t->to) != final_state) {
+    // Fail closed: a second finish would rewrite the job's accounting.
+    throw std::logic_error("Scheduler: job finished from an illegal state");
+  }
   job.end_time = clock_->now();
   if (was_running) last_completion_ = std::max(last_completion_,
                                                job.end_time);
@@ -796,11 +799,9 @@ void Scheduler::step() {
     const CompletionEntry e = completion_heap_.top();
     completion_heap_.pop();
     ++sched_stats_.completion_heap_pops;
-    const Job* jp = job_ptr(e.job);
-    if (jp == nullptr || jp->state != JobState::running ||
-        jp->end_time.ns != e.end_ns) {
-      continue;
-    }
+    // A job requeued at the instant it started restarts with the same end
+    // time: both runs' entries are live, equal and pop back to back.
+    if (is_stale(e) || (!due.empty() && due.back() == e.job)) continue;
     due.push_back(e.job);
   }
   for (JobId id : due) {
@@ -817,16 +818,11 @@ std::optional<common::SimTime> Scheduler::next_event_time() const {
   std::optional<common::SimTime> next;
   // Earliest valid completion: discard stale tops (job no longer running
   // at that end time) so callers can never loop on a dead event.
-  while (!completion_heap_.empty()) {
-    const CompletionEntry e = completion_heap_.top();
-    const Job* jp = job_ptr(e.job);
-    if (jp == nullptr || jp->state != JobState::running ||
-        jp->end_time.ns != e.end_ns) {
-      completion_heap_.pop();
-      continue;
-    }
-    next = common::SimTime{e.end_ns};
-    break;
+  while (!completion_heap_.empty() && is_stale(completion_heap_.top())) {
+    completion_heap_.pop();
+  }
+  if (!completion_heap_.empty()) {
+    next = common::SimTime{completion_heap_.top().end_ns};
   }
   // Node reboots, drain expiries, and epilog retries are events too:
   // pending work may be waiting on any of them. An entry is live iff it

@@ -441,6 +441,12 @@ class Scheduler {
     assert(id.value() >= 1 && id.value() <= jobs_.size());
     return jobs_[id.value() - 1];
   }
+  /// True unless the entry's job is running and due to end at its time.
+  [[nodiscard]] bool is_stale(const CompletionEntry& e) const {
+    const Job* jp = job_ptr(e.job);
+    return jp == nullptr || jp->state != JobState::running ||
+           jp->end_time.ns != e.end_ns;
+  }
 
   common::SimClock* clock_;
   SchedulerConfig config_;

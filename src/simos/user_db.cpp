@@ -2,33 +2,42 @@
 
 namespace heus::simos {
 
+namespace {
+
+constexpr std::uint32_t kFirstId = 1000;  // 0 is root; 1..999 are reserved
+
+/// Row of a densely issued id (0 → 0, kFirstId+k → k+1), or past every row.
+constexpr std::size_t dense_index(std::uint32_t id) {
+  if (id == 0) return 0;
+  return id < kFirstId ? SIZE_MAX : std::size_t{id} - kFirstId + 1;
+}
+
+/// The id issued next once `rows` rows, root's included, exist.
+constexpr std::uint32_t next_id(std::size_t rows) {
+  return kFirstId + static_cast<std::uint32_t>(rows - 1);
+}
+
+}  // namespace
+
 UserDb::UserDb() {
-  // root account + root group, mirroring a stock Linux install.
-  User root{kRootUid, "root", kRootGid, "/root"};
-  Group root_group{kRootGid, "root", GroupKind::system, {kRootUid}, {}};
-  users_.emplace(root.uid, root);
-  user_by_name_.emplace("root", root.uid);
-  groups_.emplace(root_group.gid, root_group);
-  group_by_name_.emplace("root", root_group.gid);
+  // root account + root group, mirroring a stock Linux install. Root's
+  // private group is the system group "root", found by name through root.
+  users_.push_back(User{kRootUid, "root", kRootGid, "/root"});
+  groups_.push_back(GroupRow{kRootGid, "root", GroupKind::system, {}, {}});
+  groups_[0].members.insert(kRootUid);
+  gid_slot_.push_back(kExplicit);  // groups_ row 0
+  by_name_.emplace(users_[0].name, 0U);
 }
 
 Result<Uid> UserDb::create_user(const std::string& name) {
   if (name.empty()) return Errno::einval;
-  if (user_by_name_.contains(name) || group_by_name_.contains(name)) {
-    return Errno::eexist;
-  }
-  const Uid uid{next_uid_};
-  const Gid gid{next_gid_};
-  ++next_uid_;
-  ++next_gid_;
-
-  Group upg{gid, name, GroupKind::user_private, {uid}, {}};
-  groups_.emplace(gid, std::move(upg));
-  group_by_name_.emplace(name, gid);
-
-  User user{uid, name, gid, "/home/" + name};
-  users_.emplace(uid, std::move(user));
-  user_by_name_.emplace(name, uid);
+  if (by_name_.contains(name)) return Errno::eexist;
+  const Uid uid{next_id(users_.size())};
+  const Gid gid{next_id(gid_slot_.size())};
+  const auto row = static_cast<std::uint32_t>(users_.size());
+  const User& user = users_.push_back(User{uid, name, gid, "/home/" + name});
+  gid_slot_.push_back(row);
+  by_name_.emplace(user.name, row);
   ++generation_;
   return uid;
 }
@@ -36,12 +45,12 @@ Result<Uid> UserDb::create_user(const std::string& name) {
 Result<Gid> UserDb::create_group_internal(const std::string& name,
                                           GroupKind kind) {
   if (name.empty()) return Errno::einval;
-  if (group_by_name_.contains(name)) return Errno::eexist;
-  const Gid gid{next_gid_};
-  ++next_gid_;
-  Group g{gid, name, kind, {}, {}};
-  groups_.emplace(gid, std::move(g));
-  group_by_name_.emplace(name, gid);
+  if (by_name_.contains(name)) return Errno::eexist;
+  const Gid gid{next_id(gid_slot_.size())};
+  const auto row = static_cast<std::uint32_t>(groups_.size()) | kExplicit;
+  const GroupRow& g = groups_.push_back(GroupRow{gid, name, kind, {}, {}});
+  gid_slot_.push_back(row);
+  by_name_.emplace(g.name, row);
   ++generation_;
   return gid;
 }
@@ -51,7 +60,7 @@ Result<Gid> UserDb::create_project_group(const std::string& name,
   if (!user_exists(steward)) return Errno::enoent;
   auto gid = create_group_internal(name, GroupKind::project);
   if (!gid) return gid.error();
-  Group& g = groups_.at(*gid);
+  GroupRow& g = *explicit_row(*gid);
   join(g, steward);
   g.stewards.insert(steward);
   ++generation_;
@@ -63,128 +72,144 @@ Result<Gid> UserDb::create_system_group(const std::string& name) {
 }
 
 Result<void> UserDb::add_member(Uid actor, Gid group, Uid member) {
-  auto it = groups_.find(group);
-  if (it == groups_.end()) return Errno::enoent;
-  if (!user_exists(member)) return Errno::enoent;
-  Group& g = it->second;
-  if (g.kind != GroupKind::project) return Errno::eperm;
-  if (actor != kRootUid && !g.stewards.contains(actor)) return Errno::eperm;
-  join(g, member);
+  if (!group_exists(group) || !user_exists(member)) return Errno::enoent;
+  GroupRow* g = managed_project(group, actor);
+  if (g == nullptr) return Errno::eperm;
+  join(*g, member);
   ++generation_;
   return ok_result();
 }
 
 Result<void> UserDb::remove_member(Uid actor, Gid group, Uid member) {
-  auto it = groups_.find(group);
-  if (it == groups_.end()) return Errno::enoent;
-  Group& g = it->second;
-  if (g.kind != GroupKind::project) return Errno::eperm;
-  if (actor != kRootUid && !g.stewards.contains(actor)) return Errno::eperm;
-  if (g.stewards.contains(member)) return Errno::ebusy;
-  if (!leave(g, member)) return Errno::enoent;
+  if (!group_exists(group)) return Errno::enoent;
+  GroupRow* g = managed_project(group, actor);
+  if (g == nullptr) return Errno::eperm;
+  if (g->stewards.contains(member)) return Errno::ebusy;
+  if (!leave(*g, member)) return Errno::enoent;
   ++generation_;
   return ok_result();
 }
 
 Result<void> UserDb::add_steward(Uid actor, Gid group, Uid steward) {
-  auto it = groups_.find(group);
-  if (it == groups_.end()) return Errno::enoent;
-  if (!user_exists(steward)) return Errno::enoent;
-  Group& g = it->second;
-  if (g.kind != GroupKind::project) return Errno::eperm;
-  if (actor != kRootUid && !g.stewards.contains(actor)) return Errno::eperm;
-  g.stewards.insert(steward);
-  join(g, steward);
+  if (!group_exists(group) || !user_exists(steward)) return Errno::enoent;
+  GroupRow* g = managed_project(group, actor);
+  if (g == nullptr) return Errno::eperm;
+  g->stewards.insert(steward);
+  join(*g, steward);
   ++generation_;
   return ok_result();
 }
 
 Result<void> UserDb::remove_steward(Uid actor, Gid group, Uid steward) {
-  auto it = groups_.find(group);
-  if (it == groups_.end()) return Errno::enoent;
-  Group& g = it->second;
-  if (g.kind != GroupKind::project) return Errno::eperm;
-  if (actor != kRootUid && !g.stewards.contains(actor)) return Errno::eperm;
-  if (g.stewards.size() == 1 && g.stewards.contains(steward)) {
+  if (!group_exists(group)) return Errno::enoent;
+  GroupRow* g = managed_project(group, actor);
+  if (g == nullptr) return Errno::eperm;
+  if (g->stewards.size() == 1 && g->stewards.contains(steward)) {
     // A project group must keep at least one responsible steward.
     return Errno::ebusy;
   }
-  if (g.stewards.erase(steward) == 0) return Errno::enoent;
+  if (g->stewards.erase(steward) == 0) return Errno::enoent;
   ++generation_;
   return ok_result();
 }
 
 Result<void> UserDb::add_system_member(Uid actor, Gid group, Uid member) {
   if (actor != kRootUid) return Errno::eperm;
-  auto it = groups_.find(group);
-  if (it == groups_.end()) return Errno::enoent;
-  if (!user_exists(member)) return Errno::enoent;
-  if (it->second.kind != GroupKind::system) return Errno::einval;
-  join(it->second, member);
+  if (!group_exists(group) || !user_exists(member)) return Errno::enoent;
+  GroupRow* g = explicit_row(group);
+  if (g == nullptr || g->kind != GroupKind::system) return Errno::einval;
+  join(*g, member);
   ++generation_;
   return ok_result();
 }
 
-void UserDb::join(Group& g, Uid uid) {
-  if (g.members.insert(uid).second) member_of_[uid].insert(g.gid);
+std::optional<std::uint32_t> UserDb::slot_of(Gid gid) const {
+  const std::size_t i = dense_index(gid.value());
+  if (i >= gid_slot_.size()) return std::nullopt;
+  return gid_slot_[i];
 }
 
-bool UserDb::leave(Group& g, Uid uid) {
+UserDb::GroupRow* UserDb::explicit_row(Gid gid) {
+  const auto slot = slot_of(gid);
+  if (!slot || (*slot & kExplicit) == 0) return nullptr;
+  return &groups_[*slot & ~kExplicit];
+}
+
+UserDb::GroupRow* UserDb::managed_project(Gid gid, Uid actor) {
+  GroupRow* g = explicit_row(gid);
+  // Private groups are immutable singletons: not even root manages one.
+  if (g == nullptr || g->kind != GroupKind::project) return nullptr;
+  if (actor != kRootUid && !g->stewards.contains(actor)) return nullptr;
+  return g;
+}
+
+void UserDb::join(GroupRow& g, Uid uid) {
+  if (g.members.insert(uid)) member_of_[uid].insert(g.gid);
+}
+
+bool UserDb::leave(GroupRow& g, Uid uid) {
   if (g.members.erase(uid) == 0) return false;
-  if (auto it = member_of_.find(uid); it != member_of_.end()) {
-    it->second.erase(g.gid);
-    if (it->second.empty()) member_of_.erase(it);
+  if (auto* gids = member_of_.find(uid); gids != nullptr) {
+    gids->erase(g.gid);
+    if (gids->empty()) member_of_.erase(uid);
   }
   return true;
 }
 
-bool UserDb::user_exists(Uid uid) const { return users_.contains(uid); }
-bool UserDb::group_exists(Gid gid) const { return groups_.contains(gid); }
+bool UserDb::user_exists(Uid uid) const { return find_user(uid) != nullptr; }
+
+bool UserDb::group_exists(Gid gid) const { return slot_of(gid).has_value(); }
 
 const User* UserDb::find_user(Uid uid) const {
-  auto it = users_.find(uid);
-  return it == users_.end() ? nullptr : &it->second;
+  const std::size_t i = dense_index(uid.value());
+  return i < users_.size() ? &users_[i] : nullptr;
 }
 
-const User* UserDb::find_user_by_name(const std::string& name) const {
-  auto it = user_by_name_.find(name);
-  return it == user_by_name_.end() ? nullptr : find_user(it->second);
+const User* UserDb::find_user_by_name(std::string_view name) const {
+  const std::uint32_t* row = by_name_.find(name);
+  if (row == nullptr || (*row & kExplicit) != 0) return nullptr;
+  return &users_[*row];
 }
 
-const Group* UserDb::find_group(Gid gid) const {
-  auto it = groups_.find(gid);
-  return it == groups_.end() ? nullptr : &it->second;
+std::optional<Group> UserDb::find_group(Gid gid) const {
+  const auto slot = slot_of(gid);
+  if (!slot) return std::nullopt;
+  if ((*slot & kExplicit) == 0) {
+    return Group{gid, users_[*slot].name, GroupKind::user_private};
+  }
+  const GroupRow& g = groups_[*slot & ~kExplicit];
+  return Group{g.gid, g.name, g.kind};
 }
 
-const Group* UserDb::find_group_by_name(const std::string& name) const {
-  auto it = group_by_name_.find(name);
-  return it == group_by_name_.end() ? nullptr : find_group(it->second);
+std::optional<Group> UserDb::find_group_by_name(std::string_view name) const {
+  const std::uint32_t* row = by_name_.find(name);
+  if (row == nullptr) return std::nullopt;
+  // A user's name names their private group.
+  return find_group((*row & kExplicit) != 0 ? groups_[*row & ~kExplicit].gid
+                                            : users_[*row].private_group);
 }
 
 bool UserDb::is_member(Uid uid, Gid gid) const {
-  const Group* g = find_group(gid);
-  return g != nullptr && g->members.contains(uid);
+  const auto slot = slot_of(gid);
+  if (!slot) return false;
+  // A private group holds exactly its user.
+  if ((*slot & kExplicit) == 0) return dense_index(uid.value()) == *slot;
+  return groups_[*slot & ~kExplicit].members.contains(uid);
 }
 
 bool UserDb::is_steward(Uid uid, Gid gid) const {
-  const Group* g = find_group(gid);
-  return g != nullptr && g->stewards.contains(uid);
+  const auto slot = slot_of(gid);
+  return slot && (*slot & kExplicit) != 0 &&
+         groups_[*slot & ~kExplicit].stewards.contains(uid);
 }
 
 std::vector<Gid> UserDb::groups_of(Uid uid) const {
   const User* user = find_user(uid);
   if (user == nullptr) return {};
   std::vector<Gid> out{user->private_group};
-  if (auto it = member_of_.find(uid); it != member_of_.end()) {
-    out.insert(out.end(), it->second.begin(), it->second.end());
+  if (const auto* gids = member_of_.find(uid); gids != nullptr) {
+    out.insert(out.end(), gids->begin(), gids->end());
   }
-  return out;
-}
-
-std::vector<Uid> UserDb::all_users() const {
-  std::vector<Uid> out;
-  out.reserve(users_.size());
-  for (const auto& [uid, u] : users_) out.push_back(uid);
   return out;
 }
 

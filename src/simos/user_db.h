@@ -7,12 +7,16 @@
 //    people (besides root) who may add or remove members.
 //  - Support-staff privileges (seepid / smask_relax) are modelled as
 //    whitelists over this registry (see simos/pam.h).
+//
+// Storage is dense and private groups are implicit (DESIGN.md §8).
 #pragma once
 
+#include <cstddef>
+#include <cstdint>
 #include <optional>
-#include <set>
 #include <string>
-#include <unordered_map>
+#include <string_view>
+#include <utility>
 #include <vector>
 
 #include "common/flat_map.h"
@@ -34,24 +38,28 @@ struct User {
   std::string home;  ///< canonical home path, e.g. "/home/alice"
 };
 
+/// A group as the database reports it; `name` stays valid while the
+/// UserDb lives. Read members through UserDb::is_member / is_steward.
 struct Group {
   Gid gid;
-  std::string name;
+  std::string_view name;
   GroupKind kind = GroupKind::project;
-  std::set<Uid> members;
-  std::set<Uid> stewards;  ///< only meaningful for project groups
 };
 
 /// The account database. All mutation goes through steward/root checks so
 /// the "intentional use of an approved project group" invariant cannot be
-/// bypassed from library code.
+/// bypassed from library code. Move-only: the name index views its rows.
 class UserDb {
  public:
   UserDb();
+  UserDb(const UserDb&) = delete;
+  UserDb& operator=(const UserDb&) = delete;
+  UserDb(UserDb&&) = default;
+  UserDb& operator=(UserDb&&) = default;
 
   /// Create a user plus their user-private group. The home path recorded is
   /// "/home/<name>" (the VFS layer creates the directory itself).
-  /// Fails with EEXIST on a duplicate name.
+  /// Fails with EEXIST when the name is taken by a user or a group.
   Result<Uid> create_user(const std::string& name);
 
   /// Create an approved project group with an initial data steward, who is
@@ -78,14 +86,17 @@ class UserDb {
 
   [[nodiscard]] bool user_exists(Uid uid) const;
   [[nodiscard]] bool group_exists(Gid gid) const;
+  /// The pointer stays valid while the UserDb lives.
   [[nodiscard]] const User* find_user(Uid uid) const;
-  [[nodiscard]] const User* find_user_by_name(const std::string& name) const;
-  [[nodiscard]] const Group* find_group(Gid gid) const;
-  [[nodiscard]] const Group* find_group_by_name(
-      const std::string& name) const;
+  [[nodiscard]] const User* find_user_by_name(std::string_view name) const;
+  [[nodiscard]] std::optional<Group> find_group(Gid gid) const;
+  /// Users and groups share one namespace: a user's name finds their
+  /// private group, and "root" finds gid 0.
+  [[nodiscard]] std::optional<Group> find_group_by_name(
+      std::string_view name) const;
 
-  /// True iff `uid` is a member of `gid` (membership set; private groups
-  /// contain exactly their user).
+  /// True iff `uid` is a member of `gid` (private groups contain exactly
+  /// their user).
   [[nodiscard]] bool is_member(Uid uid, Gid gid) const;
 
   [[nodiscard]] bool is_steward(Uid uid, Gid gid) const;
@@ -94,9 +105,6 @@ class UserDb {
   /// project and system groups in ascending gid order. Costs the user's
   /// own memberships, not the number of groups in the site.
   [[nodiscard]] std::vector<Gid> groups_of(Uid uid) const;
-
-  [[nodiscard]] std::size_t user_count() const { return users_.size(); }
-  [[nodiscard]] std::vector<Uid> all_users() const;
 
   /// Monotone epoch, bumped on every successful mutation (user/group
   /// creation, membership or stewardship change). Caches keyed off
@@ -107,24 +115,65 @@ class UserDb {
   [[nodiscard]] std::uint64_t generation() const { return generation_; }
 
  private:
-  Result<Gid> create_group_internal(const std::string& name, GroupKind kind);
-  /// Every change to a project or system group's member set goes through
-  /// these, which keep `member_of_` in step with `Group::members` in the
-  /// same call.
-  void join(Group& g, Uid uid);
-  [[nodiscard]] bool leave(Group& g, Uid uid);
+  /// Append-only rows in chunks that never reallocate: a row never moves,
+  /// so pointers and views into it stay valid, and growth copies none.
+  template <typename T>
+  class Rows {
+    static constexpr std::size_t kChunk = 4096;
+    std::vector<std::vector<T>> chunks_;
 
-  std::unordered_map<Uid, User> users_;
-  std::unordered_map<Gid, Group> groups_;
-  std::unordered_map<std::string, Uid> user_by_name_;
-  std::unordered_map<std::string, Gid> group_by_name_;
-  /// Derived from `Group::members`, which stays the truth `is_member`
-  /// reads: the project and system groups each user has joined. Private
-  /// groups are immutable singletons and stay implicit, so an account with
-  /// no other membership has no entry here.
-  std::unordered_map<Uid, common::OrderedSet<Gid>> member_of_;
-  std::uint32_t next_uid_ = 1000;  // 0 is root; 1..999 reserved for system
-  std::uint32_t next_gid_ = 1000;
+   public:
+    [[nodiscard]] std::size_t size() const {
+      if (chunks_.empty()) return 0;
+      return (chunks_.size() - 1) * kChunk + chunks_.back().size();
+    }
+    [[nodiscard]] const T& operator[](std::size_t i) const {
+      return chunks_[i / kChunk][i % kChunk];
+    }
+    T& operator[](std::size_t i) { return chunks_[i / kChunk][i % kChunk]; }
+    T& push_back(T row) {
+      if (size() % kChunk == 0) chunks_.emplace_back().reserve(kChunk);
+      return chunks_.back().emplace_back(std::move(row));
+    }
+  };
+
+  /// A project or system group (root's included); private groups have none.
+  struct GroupRow {
+    Gid gid;
+    std::string name;
+    GroupKind kind = GroupKind::project;
+    common::OrderedSet<Uid> members;
+    common::OrderedSet<Uid> stewards;  ///< only meaningful for project groups
+  };
+
+  /// Set in a slot or name-index value naming a `groups_` row; clear, the
+  /// value names a `users_` row (for a slot, that user's private group).
+  static constexpr std::uint32_t kExplicit = 1U << 31;
+
+  Result<Gid> create_group_internal(const std::string& name, GroupKind kind);
+  [[nodiscard]] std::optional<std::uint32_t> slot_of(Gid gid) const;
+  /// The row behind `gid`, or nullptr for a private or unissued group.
+  [[nodiscard]] GroupRow* explicit_row(Gid gid);
+  /// A project group `actor` manages (as root or a steward), or nullptr.
+  [[nodiscard]] GroupRow* managed_project(Gid gid, Uid actor);
+  /// Every change to an explicit group's member set goes through these,
+  /// which keep `member_of_` in step with `GroupRow::members`.
+  void join(GroupRow& g, Uid uid);
+  [[nodiscard]] bool leave(GroupRow& g, Uid uid);
+
+  /// Row 0 is root; uid 1000+i is row i+1 (1..999 are reserved).
+  Rows<User> users_;
+  Rows<GroupRow> groups_;
+  /// Indexed by gid like `users_` by uid: where each group lives.
+  std::vector<std::uint32_t> gid_slot_;
+  /// User names and explicit group names, one namespace; a private group
+  /// takes its user's name, so "root" is listed once, for the user. Keys
+  /// view the rows' own strings.
+  common::FlatMap<std::string_view, std::uint32_t> by_name_;
+  /// Derived from `GroupRow::members`, the truth `is_member` reads: the
+  /// explicit groups each user has joined. An account with no such
+  /// membership has no entry.
+  common::FlatMap<Uid, common::OrderedSet<Gid>> member_of_;
   std::uint64_t generation_ = 0;
 };
 

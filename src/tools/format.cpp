@@ -16,8 +16,8 @@ std::string user_name(const simos::UserDb& users, Uid uid) {
 }
 
 std::string group_name(const simos::UserDb& users, Gid gid) {
-  const simos::Group* g = users.find_group(gid);
-  return g != nullptr ? g->name : strformat("gid:%u", gid.value());
+  const auto g = users.find_group(gid);
+  return g ? std::string(g->name) : strformat("gid:%u", gid.value());
 }
 
 char kind_char(vfs::FileKind kind) {

@@ -187,6 +187,31 @@ TEST_F(FailureTest, EpilogSkippedOnCrashCleanupIsCrashHooks) {
   EXPECT_EQ(s->find_job(*j2)->state, JobState::failed);
 }
 
+TEST_F(FailureTest, RequeueAtStartInstantFinishesOnce) {
+  // The node dies at the instant a --requeue job starts, so the job
+  // restarts at once on the other node with an unchanged end time. The
+  // first run's completion entry must not finish the second run too.
+  auto s = make(SharingPolicy::shared, /*nodes=*/2);
+  JobSpec spec = job(10 * kSecond);
+  spec.requeue_on_failure = true;
+  auto j = s->submit(a, spec);
+  ASSERT_TRUE(j.ok());
+  s->step();
+  ASSERT_EQ(s->find_job(*j)->state, JobState::running);
+  const NodeId first = s->find_job(*j)->allocations[0].node;
+  const std::int64_t end_ns = s->find_job(*j)->end_time.ns;
+  ASSERT_TRUE(s->crash_node(first).ok());
+  const Job* restarted = s->find_job(*j);
+  ASSERT_EQ(restarted->state, JobState::running);
+  ASSERT_NE(restarted->allocations[0].node, first);
+  ASSERT_EQ(restarted->end_time.ns, end_ns);
+  ASSERT_EQ(restarted->requeues, 1u);
+  s->run_until_drained();
+  EXPECT_EQ(s->find_job(*j)->state, JobState::completed);
+  EXPECT_EQ(s->completed_count(), 1u);
+  EXPECT_EQ(s->accounting(a).size(), 1u);
+}
+
 TEST_F(FailureTest, RequeueCapFailsJobForGood) {
   // A --requeue job whose node keeps dying is requeued at most
   // default_max_requeues times, then fails for good (and is counted).

@@ -136,6 +136,8 @@ TEST_P(SchedulerPropertyTest, InvariantsHoldUnderRandomOps) {
   }
   EXPECT_EQ(live, 0u) << "drained scheduler left live jobs";
   EXPECT_EQ(terminal, submitted.size());
+  // One accounting row per job: none finished twice.
+  EXPECT_EQ(s.completed_count(), submitted.size());
 
   // (5) After drain every node is empty and fully free.
   for (unsigned n = 0; n < kNodes; ++n) {

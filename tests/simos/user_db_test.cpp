@@ -6,7 +6,9 @@
 #include <array>
 #include <iterator>
 #include <map>
+#include <set>
 #include <string>
+#include <string_view>
 #include <vector>
 
 #include "common/rng.h"
@@ -34,14 +36,18 @@ TEST_F(UserDbTest, CreateUserMakesPrivateGroup) {
   EXPECT_EQ(u->name, "alice");
   EXPECT_EQ(u->home, "/home/alice");
 
-  const Group* upg = db.find_group(u->private_group);
-  ASSERT_NE(upg, nullptr);
+  const auto upg = db.find_group(u->private_group);
+  ASSERT_TRUE(upg.has_value());
+  EXPECT_EQ(upg->gid, u->private_group);
   EXPECT_EQ(upg->kind, GroupKind::user_private);
   EXPECT_EQ(upg->name, "alice");
   // The defining property of the user-private-group scheme: the group
   // contains exactly its user.
-  EXPECT_EQ(upg->members.size(), 1u);
-  EXPECT_TRUE(upg->members.contains(*uid));
+  const Uid stranger = *db.create_user("mallory");
+  EXPECT_TRUE(db.is_member(*uid, upg->gid));
+  EXPECT_FALSE(db.is_member(stranger, upg->gid));
+  EXPECT_FALSE(db.is_member(kRootUid, upg->gid));
+  EXPECT_FALSE(db.is_steward(*uid, upg->gid));
 }
 
 TEST_F(UserDbTest, DuplicateUserNameRejected) {
@@ -165,18 +171,105 @@ TEST_F(UserDbTest, GroupNameCollisionWithUserRejected) {
             Errno::eexist);
 }
 
-TEST_F(UserDbTest, LookupsReturnNullForMissing) {
-  EXPECT_EQ(db.find_user(Uid{9999}), nullptr);
-  EXPECT_EQ(db.find_group(Gid{9999}), nullptr);
-  EXPECT_EQ(db.find_user_by_name("ghost"), nullptr);
-  EXPECT_FALSE(db.is_member(Uid{9999}, Gid{9999}));
+TEST_F(UserDbTest, UserNameCollisionWithGroupRejected) {
+  const Uid alice = *db.create_user("alice");
+  ASSERT_TRUE(db.create_project_group("widgets", alice).ok());
+  ASSERT_TRUE(db.create_system_group("proc-exempt").ok());
+  // Users and groups share one namespace, whichever came first.
+  EXPECT_EQ(db.create_user("widgets").error(), Errno::eexist);
+  EXPECT_EQ(db.create_user("proc-exempt").error(), Errno::eexist);
+  EXPECT_EQ(db.create_user("root").error(), Errno::eexist);
+  EXPECT_EQ(db.find_user_by_name("widgets"), nullptr);
 }
 
-// Differential check of groups_of's per-user index against a walk over
-// every group's member set, the membership truth. A seeded random sequence
-// of account and membership operations is issued by root, a steward or a
-// stranger, so that permitted and refused calls both occur; after every
-// operation each user's groups_of and login must match the walk.
+TEST_F(UserDbTest, LookupsReturnNullForMissing) {
+  const Uid alice = *db.create_user("alice");
+  const Gid alice_upg = db.find_user(alice)->private_group;
+  const Gid proj = *db.create_project_group("widgets", alice);
+  // 1 and 999 are reserved; the rest were never issued.
+  const std::array<Uid, 4> uids{Uid{1}, Uid{999}, Uid{alice.value() + 1},
+                                Uid{9999}};
+  const std::array<Gid, 4> gids{Gid{1}, Gid{999}, Gid{proj.value() + 1},
+                                Gid{9999}};
+  for (const Uid u : uids) {
+    EXPECT_EQ(db.find_user(u), nullptr) << u.value();
+    EXPECT_FALSE(db.user_exists(u)) << u.value();
+    EXPECT_FALSE(db.is_member(u, alice_upg)) << u.value();
+    EXPECT_FALSE(db.is_member(u, proj)) << u.value();
+    EXPECT_FALSE(db.is_member(u, kRootGid)) << u.value();
+  }
+  for (const Gid g : gids) {
+    EXPECT_FALSE(db.find_group(g).has_value()) << g.value();
+    EXPECT_FALSE(db.group_exists(g)) << g.value();
+    EXPECT_FALSE(db.is_member(alice, g)) << g.value();
+    EXPECT_FALSE(db.is_member(kRootUid, g)) << g.value();
+    EXPECT_FALSE(db.is_steward(alice, g)) << g.value();
+    for (const Uid u : uids) EXPECT_FALSE(db.is_member(u, g));
+  }
+  EXPECT_EQ(db.find_user_by_name("ghost"), nullptr);
+  EXPECT_FALSE(db.find_group_by_name("ghost").has_value());
+}
+
+// By gid and by name. Users and groups share one namespace, so a user's
+// name finds their private group, and "root" finds gid 0 as a system group.
+TEST_F(UserDbTest, FindGroupReportsEveryKind) {
+  const Uid alice = *db.create_user("alice");
+  const Gid upg = db.find_user(alice)->private_group;
+  const Gid proj = *db.create_project_group("widgets", alice);
+  const Gid sys = *db.create_system_group("proc-exempt");
+  const struct {
+    Gid gid;
+    std::string_view name;
+    GroupKind kind;
+  } want[] = {{kRootGid, "root", GroupKind::system},
+              {upg, "alice", GroupKind::user_private},
+              {proj, "widgets", GroupKind::project},
+              {sys, "proc-exempt", GroupKind::system}};
+  for (const auto& w : want) {
+    for (const auto& g :
+         {db.find_group(w.gid), db.find_group_by_name(w.name)}) {
+      ASSERT_TRUE(g.has_value()) << w.name;
+      EXPECT_EQ(g->gid, w.gid) << w.name;
+      EXPECT_EQ(g->name, w.name);
+      EXPECT_EQ(g->kind, w.kind) << w.name;
+    }
+  }
+}
+
+// Rows never move: what find_user and find_group hand out for the first
+// account stays valid while the store grows by three of its 4,096-row
+// chunks. Under ASan a store that moved its rows fails here.
+TEST_F(UserDbTest, LookupResultsSurviveGrowth) {
+  const Uid alice = *db.create_user("alice");
+  const Gid proj = *db.create_project_group("widgets", alice);
+  const User* first = db.find_user(alice);
+  const std::string_view upg_name = db.find_group(first->private_group)->name;
+  const std::string_view proj_name = db.find_group(proj)->name;
+  constexpr unsigned kMore = 3 * 4096;
+  Uid last;
+  for (unsigned i = 0; i < kMore; ++i) {
+    last = *db.create_user("u" + std::to_string(i));
+  }
+  EXPECT_EQ(db.find_user(alice), first);
+  EXPECT_EQ(first->name, "alice");
+  EXPECT_EQ(first->home, "/home/alice");
+  EXPECT_EQ(upg_name, "alice");
+  EXPECT_EQ(proj_name, "widgets");
+  EXPECT_EQ(db.find_user_by_name("alice"), first);
+  EXPECT_EQ(last.value(), alice.value() + kMore);
+  const User* newest = db.find_user(last);
+  ASSERT_NE(newest, nullptr);
+  EXPECT_EQ(newest->name, "u" + std::to_string(kMore - 1));
+  EXPECT_TRUE(db.is_member(last, newest->private_group));
+  EXPECT_FALSE(db.is_member(alice, newest->private_group));
+}
+
+// Differential check of the database against a test-side model of every
+// group's members and stewards, updated from each call's outcome. A seeded
+// random sequence of account and membership operations is issued by root,
+// a steward or a stranger, so that permitted and refused calls both occur;
+// after every operation each user's groups_of and login must match a walk
+// over the model, and is_member / is_steward must agree with it.
 TEST(UserDbIndexDiff, GroupsOfAndLoginMatchMembershipScan) {
   constexpr unsigned kUsers = 64;
   constexpr unsigned kProjects = 16;
@@ -188,19 +281,21 @@ TEST(UserDbIndexDiff, GroupsOfAndLoginMatchMembershipScan) {
   std::vector<Gid> gids{kRootGid};  // every created group, of every kind
   std::vector<Gid> projects;
   std::vector<Gid> systems;
+  // The model: every group's members and stewards.
+  std::map<Gid, std::set<Uid>> members{{kRootGid, {kRootUid}}};
+  std::map<Gid, std::set<Uid>> stewards{{kRootGid, {}}};
 
   const auto pick = [&rng](const auto& v) { return v[rng.bounded(v.size())]; };
   // Root, one of the group's stewards, or any user (mostly a stranger).
   const auto actor_for = [&](Gid gid) {
-    const Group* g = db.find_group(gid);
+    const std::set<Uid>& held = stewards.at(gid);
     switch (rng.bounded(3)) {
       case 0:
         return kRootUid;
       case 1:
-        if (g != nullptr && !g->stewards.empty()) {
-          return *std::next(g->stewards.begin(),
-                            static_cast<std::ptrdiff_t>(
-                                rng.bounded(g->stewards.size())));
+        if (!held.empty()) {
+          return *std::next(held.begin(), static_cast<std::ptrdiff_t>(
+                                              rng.bounded(held.size())));
         }
         [[fallthrough]];
       default:
@@ -216,27 +311,49 @@ TEST(UserDbIndexDiff, GroupsOfAndLoginMatchMembershipScan) {
   // [operation kind][refused, permitted]
   std::array<std::array<unsigned, 2>, 8> outcomes{};
 
+  // Checks one group's members and stewards against the model.
+  const auto agrees = [&](Gid g) {
+    const std::set<Uid>& m = members.at(g);
+    const std::set<Uid>& st = stewards.at(g);
+    for (const Uid u : users) {
+      if (db.is_member(u, g) != m.contains(u) ||
+          db.is_steward(u, g) != st.contains(u)) {
+        ADD_FAILURE() << "gid " << g.value() << ", uid " << u.value();
+        return false;
+      }
+    }
+    return true;
+  };
+
   for (unsigned op = 0; op < kOps; ++op) {
     const auto kind = static_cast<std::size_t>(rng.bounded(outcomes.size()));
     bool ok = false;
+    Gid touched = kRootGid;
     switch (kind) {
       case 0: {
         // Names repeat, so duplicates are refused once all exist.
         auto uid = db.create_user("u" + std::to_string(rng.bounded(kUsers)));
         ok = uid.ok();
         if (uid) {
+          touched = db.find_user(*uid)->private_group;
           users.push_back(*uid);
-          gids.push_back(db.find_user(*uid)->private_group);
+          gids.push_back(touched);
+          members[touched] = {*uid};
+          stewards[touched] = {};
         }
         break;
       }
       case 1: {
+        const Uid steward = pick(users);
         auto gid = db.create_project_group(
-            "p" + std::to_string(rng.bounded(kProjects)), pick(users));
+            "p" + std::to_string(rng.bounded(kProjects)), steward);
         ok = gid.ok();
         if (gid) {
+          touched = *gid;
           projects.push_back(*gid);
           gids.push_back(*gid);
+          members[*gid] = {steward};
+          stewards[*gid] = {steward};
         }
         break;
       }
@@ -245,49 +362,72 @@ TEST(UserDbIndexDiff, GroupsOfAndLoginMatchMembershipScan) {
             db.create_system_group("s" + std::to_string(rng.bounded(kSystems)));
         ok = gid.ok();
         if (gid) {
+          touched = *gid;
           systems.push_back(*gid);
           gids.push_back(*gid);
+          members[*gid] = {};
+          stewards[*gid] = {};
         }
         break;
       }
       case 3: {
-        const Gid g = target();
-        ok = db.add_member(actor_for(g), g, pick(users)).ok();
+        touched = target();
+        const Uid who = pick(users);
+        ok = db.add_member(actor_for(touched), touched, who).ok();
+        if (ok) members.at(touched).insert(who);
         break;
       }
       case 4: {
-        const Gid g = target();
-        ok = db.remove_member(actor_for(g), g, pick(users)).ok();
+        touched = target();
+        const Uid who = pick(users);
+        ok = db.remove_member(actor_for(touched), touched, who).ok();
+        if (ok) members.at(touched).erase(who);
         break;
       }
       case 5: {
-        const Gid g = target();
-        ok = db.add_steward(actor_for(g), g, pick(users)).ok();
+        touched = target();
+        const Uid who = pick(users);
+        ok = db.add_steward(actor_for(touched), touched, who).ok();
+        if (ok) {
+          stewards.at(touched).insert(who);
+          members.at(touched).insert(who);
+        }
         break;
       }
       case 6: {
-        const Gid g = target();
-        ok = db.remove_steward(actor_for(g), g, pick(users)).ok();
+        touched = target();
+        const Uid who = pick(users);
+        ok = db.remove_steward(actor_for(touched), touched, who).ok();
+        if (ok) stewards.at(touched).erase(who);
         break;
       }
       default: {
-        const Gid g = systems.empty() || rng.chance(0.2) ? pick(gids)
-                                                          : pick(systems);
+        touched = systems.empty() || rng.chance(0.2) ? pick(gids)
+                                                      : pick(systems);
         const Uid actor = rng.chance(0.5) ? kRootUid : pick(users);
-        ok = db.add_system_member(actor, g, pick(users)).ok();
+        const Uid who = pick(users);
+        ok = db.add_system_member(actor, touched, who).ok();
+        if (ok) members.at(touched).insert(who);
         break;
       }
     }
     ++outcomes[kind][ok ? 1 : 0];
 
-    // The reference: walk every created group's member set, the truth
-    // is_member reads. Gids are handed out in ascending order, so `gids`
-    // is sorted and each list comes out private group first, then
-    // ascending: the exact order groups_of promises.
+    // is_member / is_steward: the touched group after every call, and
+    // every group now and then.
+    ASSERT_TRUE(agrees(touched)) << "op " << op;
+    if (op % 64 == 0 || op + 1 == kOps) {
+      for (const Gid g : gids) ASSERT_TRUE(agrees(g)) << "op " << op;
+    }
+
+    // The reference: walk every created group's member set in the model.
+    // Gids are handed out in ascending order, so `gids` is sorted and each
+    // list comes out private group first, then ascending: the exact order
+    // groups_of promises.
     std::map<Uid, std::vector<Gid>> scan;
     for (const Uid u : users) scan[u] = {db.find_user(u)->private_group};
     for (const Gid g : gids) {
-      for (const Uid m : db.find_group(g)->members) {
+      for (const Uid m : members.at(g)) {
         std::vector<Gid>& groups = scan.at(m);
         if (groups.front() != g) groups.push_back(g);
       }

@@ -70,7 +70,8 @@ check 'sleep_for|sleep_until' \
 check 'std::this_thread' \
   'thread-identity/timing queries (results must not depend on workers)'
 
-# Memory-layout discipline (ISSUE 10): the per-decision hot-path headers
+# Memory-layout discipline: the per-decision hot-path headers (network,
+# scheduler, decision trace, and the account store UBF admission reads)
 # were migrated off the node-based standard containers (DESIGN.md §8 —
 # common::FlatMap/FlatSet/OrderedSet/OrderedMap/SlotMap over dense
 # storage). New direct std::unordered_map / std::map members would quietly
@@ -80,7 +81,8 @@ check 'std::this_thread' \
 #     tables kept as std::map with transparent comparators for
 #     string_view lookup;
 #   - usage_by_user: a public accessor's return type (API stability).
-hotpath_headers="src/net/network.h src/sched/scheduler.h src/obs/decision.h"
+hotpath_headers="src/net/network.h src/sched/scheduler.h src/obs/decision.h
+  src/simos/user_db.h"
 hotpath_allow='abstract_sockets|partition_policy|partitions_|usage_by_user'
 for header in $hotpath_headers; do
   [ -f "$root/$header" ] || continue
