@@ -17,6 +17,9 @@
 //    E21's guarantee, re-checked here).
 //  - Touched-bytes proxies: the bytes a GC sweep or cross-user scan must
 //    drag through cache per entry (hot split only, not payload).
+//  - The session path allocates only what it returns: a warm vfs `stat`
+//    nothing, a `read_file` its payload string, a /proc listing its pid
+//    vector.
 //
 // Always writes BENCH_E26.json (override with --json=PATH); --smoke runs
 // reduced sizes for CI.
@@ -37,7 +40,9 @@
 #include "net/network.h"
 #include "obs/decision.h"
 #include "sched/scheduler.h"
+#include "simos/procfs.h"
 #include "simos/user_db.h"
+#include "vfs/filesystem.h"
 
 // ---------------------------------------------------------------------------
 // Allocation counting: global operator new instrumented with a gate so
@@ -398,6 +403,79 @@ void footprint_section(Json& results) {
   results.set("decision_record_bytes", decision_record);
 }
 
+// ---------------------------------------------------------------------------
+// E26e: the session path. One user's warm `stat` and `read_file` in a
+// tree of homes, and a hidepid=2 /proc listing. The walk normalises into
+// a buffer the filesystem reuses and looks names up by view, so the only
+// allocations left are the values handed back to the caller.
+// ---------------------------------------------------------------------------
+
+void session_section(Json& results, bool smoke) {
+  print_banner(
+      "E26e: per-call heap traffic on the session path",
+      "A warm stat allocates nothing; read_file allocates only the payload "
+      "it returns; a /proc listing only the pid vector it returns.");
+
+  const std::size_t homes = 300;
+  const std::size_t calls = smoke ? 2000 : 200000;
+  common::SimClock clock;
+  simos::UserDb db;
+  vfs::FileSystem fs("lustre:shared", &db, &clock);
+  simos::ProcessTable procs(&clock);
+  const simos::Credentials root = simos::root_credentials();
+  (void)fs.mkdir(root, "/home", 0755);
+  std::vector<simos::Credentials> users;
+  for (std::size_t u = 0; u < homes; ++u) {
+    const std::string name = common::strformat("u%zu", u);
+    users.push_back(*simos::login(db, *db.create_user(name)));
+    const std::string home = "/home/" + name;
+    (void)fs.mkdir(root, home, 0700);
+    (void)fs.chown(root, home, users.back().uid);
+    (void)fs.write_file(users.back(), home + "/notes.txt",
+                        std::string(64, 'n'));  // past the SSO buffer
+    if (u % 10 == 0) procs.spawn(users.back(), "-bash");
+  }
+  const simos::Credentials& user = users[homes / 2];  // has a shell
+  const std::string notes = common::strformat("/home/u%zu/notes.txt",
+                                              homes / 2);
+  simos::ProcFs procfs(&procs,
+                       simos::ProcMountOptions{simos::HidepidMode::invisible,
+                                               std::nullopt});
+
+  struct Probe {
+    const char* key;
+    const char* op;
+    Window w;
+  };
+  auto per_call = [&](auto&& op) {
+    op();  // warm: the walk's buffer reaches its working size
+    return measure([&] {
+      for (std::size_t i = 0; i < calls; ++i) op();
+    });
+  };
+  const Probe probes[] = {
+      {"alloc_vfs_stat_allocs", "vfs stat",
+       per_call([&] { (void)fs.stat(user, notes); })},
+      {"alloc_vfs_read_allocs", "vfs read_file (64 B)",
+       per_call([&] { (void)fs.read_file(user, notes); })},
+      {"alloc_procfs_list_allocs", "procfs list (hidepid=2)",
+       per_call([&] { (void)procfs.list(user); })},
+  };
+
+  Table table({"op", "calls", "allocs", "allocs/call", "ns/call"});
+  for (const Probe& p : probes) {
+    const double allocs_per_call =
+        static_cast<double>(p.w.allocs) / static_cast<double>(calls);
+    table.add_row({p.op, std::to_string(calls), std::to_string(p.w.allocs),
+                   common::strformat("%.4f", allocs_per_call),
+                   common::strformat("%.1f",
+                                     static_cast<double>(p.w.wall_ns) /
+                                         static_cast<double>(calls))});
+    results.set(p.key, allocs_per_call);
+  }
+  table.print();
+}
+
 }  // namespace
 }  // namespace heus::bench
 
@@ -412,6 +490,7 @@ int main(int argc, char** argv) {
   heus::bench::placement_section(results, smoke);
   heus::bench::trace_section(results, smoke);
   heus::bench::footprint_section(results);
+  heus::bench::session_section(results, smoke);
 
   results.set("smoke", smoke);
   return heus::bench::write_report("E26", std::move(results), path) ? 0 : 1;

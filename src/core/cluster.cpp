@@ -1,6 +1,7 @@
 #include "core/cluster.h"
 
-#include <cassert>
+#include <stdexcept>
+#include <string>
 
 #include "common/strings.h"
 
@@ -56,7 +57,9 @@ Cluster::Cluster(ClusterConfig config)
 
   // The hidepid-exempt supplemental group that seepid hands out.
   auto exempt = users_.create_system_group("proc-exempt");
-  assert(exempt.ok());
+  if (!exempt) {
+    throw std::logic_error("cluster: cannot create the proc-exempt group");
+  }
   seepid_group_ = *exempt;
   seepid_ = std::make_unique<simos::SeepidService>(seepid_group_);
 
@@ -85,9 +88,11 @@ Cluster::Cluster(ClusterConfig config)
     info.cpus = config_.cpus_per_node;
     info.mem_mb = config_.mem_mb_per_node;
     info.gpus = gpus;
-    const NodeId sched_id = scheduler_->add_node(info);
-    assert(sched_id == id);
-    (void)sched_id;
+    if (scheduler_->add_node(info) != id) {
+      throw std::logic_error("cluster: scheduler node id " +
+                             std::to_string(id.value()) +
+                             " is out of step with the node table");
+    }
     return id;
   };
 
@@ -266,7 +271,7 @@ void Cluster::wire_prolog_epilog() {
     // memory is cleared; /dev entries return to the unassigned posture
     // when the node reboots. Every socket touching the host resets.
     (void)network_->reset_host(nd.host());
-    for (Pid pid : nd.procs().all_pids()) (void)nd.procs().exit(pid);
+    nd.procs().clear();
     for (std::uint32_t g = 0; g < nd.gpus().size(); ++g) {
       gpu::GpuDevice& dev = nd.gpus().at(g);
       if (dev.assigned_to()) (void)dev.release();

@@ -1,11 +1,26 @@
 #include "simos/process.h"
 
+#include <algorithm>
+
 namespace heus::simos {
+
+namespace {
+
+/// The entry for `pid` in the pid-ordered `procs`, or its end().
+template <typename Procs>
+auto locate(Procs& procs, Pid pid) {
+  auto it = std::lower_bound(
+      procs.begin(), procs.end(), pid,
+      [](const Process& p, Pid key) { return p.pid < key; });
+  return it != procs.end() && it->pid == pid ? it : procs.end();
+}
+
+}  // namespace
 
 Pid ProcessTable::spawn(const Credentials& cred, std::string cmdline,
                         const SpawnOptions& opts) {
   const Pid pid{next_pid_++};
-  Process p;
+  Process& p = procs_.emplace_back();
   p.pid = pid;
   p.ppid = opts.ppid;
   p.cred = cred;
@@ -14,19 +29,20 @@ Pid ProcessTable::spawn(const Credentials& cred, std::string cmdline,
   p.start_time = clock_->now();
   p.job = opts.job;
   p.in_container = opts.in_container;
-  procs_.emplace(pid, std::move(p));
   return pid;
 }
 
 Result<void> ProcessTable::exit(Pid pid) {
-  if (procs_.erase(pid) == 0) return Errno::esrch;
+  auto it = locate(procs_, pid);
+  if (it == procs_.end()) return Errno::esrch;
+  procs_.erase(it);
   return ok_result();
 }
 
 Result<void> ProcessTable::kill(const Credentials& actor, Pid pid) {
-  auto it = procs_.find(pid);
+  auto it = locate(procs_, pid);
   if (it == procs_.end()) return Errno::esrch;
-  if (!actor.is_root() && actor.uid != it->second.cred.uid) {
+  if (!actor.is_root() && actor.uid != it->cred.uid) {
     return Errno::eperm;
   }
   procs_.erase(it);
@@ -34,36 +50,21 @@ Result<void> ProcessTable::kill(const Credentials& actor, Pid pid) {
 }
 
 const Process* ProcessTable::find(Pid pid) const {
-  auto it = procs_.find(pid);
-  return it == procs_.end() ? nullptr : &it->second;
-}
-
-std::vector<Pid> ProcessTable::all_pids() const {
-  std::vector<Pid> out;
-  out.reserve(procs_.size());
-  for (const auto& [pid, p] : procs_) out.push_back(pid);
-  return out;
+  auto it = locate(procs_, pid);
+  return it == procs_.end() ? nullptr : &*it;
 }
 
 std::vector<Pid> ProcessTable::pids_of(Uid uid) const {
   std::vector<Pid> out;
-  for (const auto& [pid, p] : procs_) {
-    if (p.cred.uid == uid) out.push_back(pid);
+  for (const Process& p : procs_) {
+    if (p.cred.uid == uid) out.push_back(p.pid);
   }
   return out;
 }
 
 std::size_t ProcessTable::kill_all_of(Uid uid) {
-  std::size_t killed = 0;
-  for (auto it = procs_.begin(); it != procs_.end();) {
-    if (it->second.cred.uid == uid) {
-      it = procs_.erase(it);
-      ++killed;
-    } else {
-      ++it;
-    }
-  }
-  return killed;
+  return std::erase_if(procs_,
+                       [uid](const Process& p) { return p.cred.uid == uid; });
 }
 
 }  // namespace heus::simos

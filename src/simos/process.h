@@ -8,7 +8,6 @@
 
 #include <optional>
 #include <string>
-#include <unordered_map>
 #include <vector>
 
 #include "common/clock.h"
@@ -40,8 +39,12 @@ struct SpawnOptions {
   bool in_container = false;
 };
 
+/// One node's processes, stored in ascending pid order. Pids are issued
+/// monotonically, so a spawn appends, and a listing is a plain scan.
 class ProcessTable {
  public:
+  using const_iterator = std::vector<Process>::const_iterator;
+
   explicit ProcessTable(const common::SimClock* clock) : clock_(clock) {}
 
   /// Create a process. Pids are allocated monotonically per node.
@@ -55,14 +58,20 @@ class ProcessTable {
   /// Kill semantics: the actor may signal a process iff root or same uid.
   Result<void> kill(const Credentials& actor, Pid pid);
 
+  /// Power loss: every process is gone at once.
+  void clear() { procs_.clear(); }
+
+  /// The pointer is valid until the next spawn or removal.
   [[nodiscard]] const Process* find(Pid pid) const;
   [[nodiscard]] std::size_t count() const { return procs_.size(); }
 
-  /// Unfiltered pid list (procfs applies hidepid on top of this).
-  [[nodiscard]] std::vector<Pid> all_pids() const;
+  /// Every process in ascending pid order, unfiltered (procfs applies
+  /// hidepid on top of this).
+  [[nodiscard]] const_iterator begin() const { return procs_.begin(); }
+  [[nodiscard]] const_iterator end() const { return procs_.end(); }
 
-  /// All processes belonging to `uid` (used by the scheduler epilog to
-  /// confirm cleanup and by pam_slurm adoption).
+  /// All processes belonging to `uid`, in ascending pid order (used by
+  /// the scheduler epilog to confirm cleanup and by pam_slurm adoption).
   [[nodiscard]] std::vector<Pid> pids_of(Uid uid) const;
 
   /// Kill every process owned by `uid` (scheduler epilog node cleanup).
@@ -70,7 +79,7 @@ class ProcessTable {
 
  private:
   const common::SimClock* clock_;
-  std::unordered_map<Pid, Process> procs_;
+  std::vector<Process> procs_;  ///< ascending pid
   std::uint32_t next_pid_ = 2;  // pid 1 notionally init
 };
 

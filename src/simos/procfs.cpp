@@ -1,7 +1,5 @@
 #include "simos/procfs.h"
 
-#include <algorithm>
-
 namespace heus::simos {
 
 bool ProcFs::is_exempt(const Credentials& reader) const {
@@ -42,14 +40,12 @@ void ProcFs::record(const Credentials& reader, const Process& p,
 
 std::vector<Pid> ProcFs::list(const Credentials& reader) const {
   std::vector<Pid> out;
-  for (Pid pid : table_->all_pids()) {
-    const Process* p = table_->find(pid);
-    if (p == nullptr) continue;
-    const bool visible = may_see_entry(reader, *p);
-    record(reader, *p, obs::ChannelKind::procfs_process_list, visible);
-    if (visible) out.push_back(pid);
+  out.reserve(table_->count());
+  for (const Process& p : *table_) {
+    const bool visible = may_see_entry(reader, p);
+    record(reader, p, obs::ChannelKind::procfs_process_list, visible);
+    if (visible) out.push_back(p.pid);
   }
-  std::sort(out.begin(), out.end());
   return out;
 }
 
@@ -66,27 +62,28 @@ Result<ProcDetails> ProcFs::read_details(const Credentials& reader,
                                          Pid pid) const {
   const Process* p = table_->find(pid);
   if (p == nullptr) return Errno::enoent;
-  if (!may_see_entry(reader, *p)) {
-    record(reader, *p, obs::ChannelKind::procfs_cmdline, false);
+  return details_of(reader, *p);
+}
+
+Result<ProcDetails> ProcFs::details_of(const Credentials& reader,
+                                       const Process& p) const {
+  if (!may_see_entry(reader, p)) {
+    record(reader, p, obs::ChannelKind::procfs_cmdline, false);
     return Errno::enoent;
   }
-  const bool readable = may_read_contents(reader, *p);
-  record(reader, *p, obs::ChannelKind::procfs_cmdline, readable);
+  const bool readable = may_read_contents(reader, p);
+  record(reader, p, obs::ChannelKind::procfs_cmdline, readable);
   if (!readable) return Errno::eacces;
-  return ProcDetails{p->pid,     p->cred.uid, p->cred.egid,
-                     p->cmdline, p->cwd,      p->job};
+  return ProcDetails{p.pid,     p.cred.uid, p.cred.egid,
+                     p.cmdline, p.cwd,      p.job};
 }
 
 std::vector<ProcDetails> ProcFs::snapshot(const Credentials& reader) const {
   std::vector<ProcDetails> out;
-  for (Pid pid : table_->all_pids()) {
-    auto d = read_details(reader, pid);
+  for (const Process& p : *table_) {
+    auto d = details_of(reader, p);
     if (d) out.push_back(std::move(*d));
   }
-  std::sort(out.begin(), out.end(),
-            [](const ProcDetails& a, const ProcDetails& b) {
-              return a.pid < b.pid;
-            });
   return out;
 }
 

@@ -62,7 +62,8 @@ class ProcFs {
   /// decision trace. Null (the default) disables recording.
   void set_trace(obs::DecisionTrace* trace) { trace_ = trace; }
 
-  /// Directory listing of /proc — the pids visible to `reader`.
+  /// Directory listing of /proc — the pids visible to `reader`, in
+  /// ascending order. Records one verdict per process scanned.
   [[nodiscard]] std::vector<Pid> list(const Credentials& reader) const;
 
   /// stat(2) on /proc/<pid>: under hidepid=2 foreign pids return ENOENT
@@ -74,7 +75,8 @@ class ProcFs {
   /// hidepid=2 ENOENT.
   Result<ProcDetails> read_details(const Credentials& reader, Pid pid) const;
 
-  /// `ps aux` equivalent: details of every process the reader may inspect.
+  /// `ps aux` equivalent: details of every process the reader may
+  /// inspect, in ascending pid order.
   [[nodiscard]] std::vector<ProcDetails> snapshot(
       const Credentials& reader) const;
 
@@ -86,6 +88,9 @@ class ProcFs {
                                    const Process& p) const;
   [[nodiscard]] bool may_read_contents(const Credentials& reader,
                                        const Process& p) const;
+  /// read_details once the process is found.
+  Result<ProcDetails> details_of(const Credentials& reader,
+                                 const Process& p) const;
   void record(const Credentials& reader, const Process& p,
               obs::ChannelKind channel, bool allowed) const;
 

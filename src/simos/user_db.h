@@ -11,17 +11,16 @@
 // Storage is dense and private groups are implicit (DESIGN.md §8).
 #pragma once
 
-#include <cstddef>
 #include <cstdint>
 #include <optional>
 #include <string>
 #include <string_view>
-#include <utility>
 #include <vector>
 
 #include "common/flat_map.h"
 #include "common/ids.h"
 #include "common/result.h"
+#include "common/rows.h"
 
 namespace heus::simos {
 
@@ -115,28 +114,6 @@ class UserDb {
   [[nodiscard]] std::uint64_t generation() const { return generation_; }
 
  private:
-  /// Append-only rows in chunks that never reallocate: a row never moves,
-  /// so pointers and views into it stay valid, and growth copies none.
-  template <typename T>
-  class Rows {
-    static constexpr std::size_t kChunk = 4096;
-    std::vector<std::vector<T>> chunks_;
-
-   public:
-    [[nodiscard]] std::size_t size() const {
-      if (chunks_.empty()) return 0;
-      return (chunks_.size() - 1) * kChunk + chunks_.back().size();
-    }
-    [[nodiscard]] const T& operator[](std::size_t i) const {
-      return chunks_[i / kChunk][i % kChunk];
-    }
-    T& operator[](std::size_t i) { return chunks_[i / kChunk][i % kChunk]; }
-    T& push_back(T row) {
-      if (size() % kChunk == 0) chunks_.emplace_back().reserve(kChunk);
-      return chunks_.back().emplace_back(std::move(row));
-    }
-  };
-
   /// A project or system group (root's included); private groups have none.
   struct GroupRow {
     Gid gid;
@@ -162,8 +139,8 @@ class UserDb {
   [[nodiscard]] bool leave(GroupRow& g, Uid uid);
 
   /// Row 0 is root; uid 1000+i is row i+1 (1..999 are reserved).
-  Rows<User> users_;
-  Rows<GroupRow> groups_;
+  common::Rows<User> users_;
+  common::Rows<GroupRow> groups_;
   /// Indexed by gid like `users_` by uid: where each group lives.
   std::vector<std::uint32_t> gid_slot_;
   /// User names and explicit group names, one namespace; a private group

@@ -1,7 +1,7 @@
 #include "vfs/filesystem.h"
 
 #include <algorithm>
-#include <cassert>
+#include <stdexcept>
 
 #include "common/strings.h"
 
@@ -62,8 +62,13 @@ FileSystem::FileSystem(std::string name, const simos::UserDb* users,
   root.gid = kRootGid;
   root.mtime = clock_->now();
   root.ctime = clock_->now();
-  inodes_.emplace(id, std::move(root));
+  inodes_.push_back(std::move(root));
+  ++live_inodes_;
   root_ = id;
+}
+
+void FileSystem::no_inode(InodeId id) {
+  throw std::out_of_range("vfs: no inode " + std::to_string(id.value()));
 }
 
 InodeId FileSystem::alloc_inode(FileKind kind, unsigned mode,
@@ -92,8 +97,14 @@ InodeId FileSystem::alloc_inode(FileKind kind, unsigned mode,
     node.acl = dir.default_acl;
     if (kind == FileKind::directory) node.default_acl = dir.default_acl;
   }
-  inodes_.emplace(id, std::move(node));
+  inodes_.push_back(std::move(node));
+  ++live_inodes_;
   return id;
+}
+
+void FileSystem::erase_inode(InodeId id) {
+  get(id) = Inode{};
+  --live_inodes_;
 }
 
 void FileSystem::drop_inode_ref(InodeId id) {
@@ -109,7 +120,7 @@ void FileSystem::drop_inode_ref(InodeId id) {
                        -static_cast<std::int64_t>(node.data.size()),
                        /*enforce=*/false);
   }
-  inodes_.erase(id);
+  erase_inode(id);
 }
 
 Result<void> FileSystem::charge_bytes(Uid owner, std::int64_t delta,
@@ -117,9 +128,8 @@ Result<void> FileSystem::charge_bytes(Uid owner, std::int64_t delta,
   if (delta == 0) return ok_result();
   if (delta < 0) {
     const auto refund = static_cast<std::uint64_t>(-delta);
-    auto it = quota_used_.find(owner);
-    if (it != quota_used_.end()) {
-      it->second -= std::min(it->second, refund);
+    if (std::uint64_t* used = quota_used_.find(owner)) {
+      *used -= std::min(*used, refund);
     }
     total_used_ -= std::min(total_used_, refund);
     return ok_result();
@@ -129,9 +139,8 @@ Result<void> FileSystem::charge_bytes(Uid owner, std::int64_t delta,
     if (capacity_ && total_used_ + grow > *capacity_) {
       return Errno::enospc;
     }
-    auto limit = quota_limits_.find(owner);
-    if (limit != quota_limits_.end() &&
-        quota_used_[owner] + grow > limit->second) {
+    const std::uint64_t* limit = quota_limits_.find(owner);
+    if (limit != nullptr && quota_used_[owner] + grow > *limit) {
       return Errno::edquot;
     }
   }
@@ -150,14 +159,14 @@ void FileSystem::set_user_quota(Uid uid,
 }
 
 std::optional<std::uint64_t> FileSystem::user_quota(Uid uid) const {
-  auto it = quota_limits_.find(uid);
-  if (it == quota_limits_.end()) return std::nullopt;
-  return it->second;
+  const std::uint64_t* limit = quota_limits_.find(uid);
+  if (limit == nullptr) return std::nullopt;
+  return *limit;
 }
 
 std::uint64_t FileSystem::bytes_used_by(Uid uid) const {
-  auto it = quota_used_.find(uid);
-  return it == quota_used_.end() ? 0 : it->second;
+  const std::uint64_t* used = quota_used_.find(uid);
+  return used == nullptr ? 0 : *used;
 }
 
 unsigned FileSystem::creation_mode(const Credentials& cred,
@@ -229,78 +238,91 @@ bool FileSystem::permits(const Credentials& cred, const Inode& node,
   return (other_bits & bit) != 0;
 }
 
-Result<FileSystem::Resolved> FileSystem::resolve(const Credentials& cred,
-                                                 const std::string& path,
-                                                 bool follow,
-                                                 std::size_t depth) {
-  if (unavailable()) return Errno::eio;  // mount outage (fault injection)
-  if (depth > kMaxSymlinkDepth) return Errno::eloop;
-  auto parts = split_path(path);
-  if (!parts) return parts.error();
-
+Result<InodeId> FileSystem::descend(const Credentials& cred, bool follow) {
   InodeId cur = root_;
-  InodeId parent = root_;
-  std::string leaf = "/";
-  for (std::size_t i = 0; i < parts->size(); ++i) {
+  std::size_t depth = 0;
+  std::size_t i = 0;
+  while (i < parts_.size()) {
     const Inode& dir = get(cur);
     if (!dir.is_dir()) return Errno::enotdir;
     if (!permits(cred, dir, Access::exec)) return Errno::eacces;
-    auto it = dir.entries.find((*parts)[i]);
-    if (it == dir.entries.end()) return Errno::enoent;
-    parent = cur;
-    cur = it->second;
-    leaf = (*parts)[i];
+    const InodeId* child = dir.entries.find(parts_[i]);
+    if (child == nullptr) return Errno::enoent;
+    cur = *child;
 
     const Inode& node = get(cur);
-    const bool last = (i + 1 == parts->size());
-    if (node.kind == FileKind::symlink && (!last || follow)) {
-      // Rebuild the remaining path against the link target and restart.
-      std::string rest = node.symlink_target;
-      for (std::size_t j = i + 1; j < parts->size(); ++j) {
-        rest += '/';
-        rest += (*parts)[j];
-      }
-      if (rest.empty() || rest.front() != '/') {
-        // Relative target: interpret against the containing directory.
-        std::vector<std::string> base(parts->begin(),
-                                      parts->begin() +
-                                          static_cast<std::ptrdiff_t>(i));
-        rest = join_path(base) + (rest.empty() ? "" : "/" + rest);
-      }
-      return resolve(cred, rest, follow, depth + 1);
+    const bool last = (i + 1 == parts_.size());
+    if (node.kind != FileKind::symlink || (last && !follow)) {
+      ++i;
+      continue;
     }
+    // Rebuild the remaining path against the link target and restart.
+    // `next` is built apart: `parts_` may view the current `link_path_`.
+    std::string next = node.symlink_target;
+    for (std::size_t j = i + 1; j < parts_.size(); ++j) {
+      next += '/';
+      next += parts_[j];
+    }
+    if (next.empty() || next.front() != '/') {
+      // Relative target: interpret against the containing directory.
+      std::string base = "/";
+      for (std::size_t j = 0; j < i; ++j) {
+        base += parts_[j];
+        base += '/';
+      }
+      next.insert(0, base);
+    }
+    link_path_ = std::move(next);
+    if (unavailable()) return Errno::eio;
+    if (++depth > kMaxSymlinkDepth) return Errno::eloop;
+    if (auto s = split_path(link_path_, parts_); !s) return s.error();
+    cur = root_;
+    i = 0;
   }
-  return Resolved{parent, cur, leaf};
+  return cur;
 }
 
-Result<std::pair<InodeId, std::string>> FileSystem::walk_parent(
-    const Credentials& cred, const std::string& path) {
-  auto parts = split_path(path);
-  if (!parts) return parts.error();
-  if (parts->empty()) return Errno::eexist;  // "/" itself
-  const std::string leaf = parts->back();
-  parts->pop_back();
+Result<InodeId> FileSystem::resolve(const Credentials& cred,
+                                    std::string_view path, bool follow) {
+  if (unavailable()) return Errno::eio;  // mount outage (fault injection)
+  if (auto s = split_path(path, parts_); !s) return s.error();
+  return descend(cred, follow);
+}
 
-  auto dir_res = resolve(cred, join_path(*parts), /*follow=*/true);
-  if (!dir_res) return dir_res.error();
-  const Inode& dir = get(dir_res->node);
-  if (!dir.is_dir()) return Errno::enotdir;
-  if (!permits(cred, dir, Access::exec)) return Errno::eacces;
-  return std::make_pair(dir_res->node, leaf);
+Result<FileSystem::Parent> FileSystem::walk_parent(const Credentials& cred,
+                                                   const std::string& path) {
+  if (auto s = split_path(path, parts_); !s) return s.error();
+  if (parts_.empty()) return Errno::eexist;  // "/" itself
+  const std::string_view leaf = parts_.back();
+  parts_.pop_back();
+  if (unavailable()) return Errno::eio;
+  auto dir = descend(cred, /*follow=*/true);
+  if (!dir) return dir.error();
+  const Inode& node = get(*dir);
+  if (!node.is_dir()) return Errno::enotdir;
+  if (!permits(cred, node, Access::exec)) return Errno::eacces;
+  return Parent{*dir, leaf};
+}
+
+Result<InodeId> FileSystem::make_entry(const Credentials& cred,
+                                       const Parent& at, FileKind kind,
+                                       unsigned mode) {
+  Inode& dir = get(at.dir);
+  if (dir.entries.contains(at.leaf)) return Errno::eexist;
+  if (!permits(cred, dir, Access::write)) return Errno::eacces;
+  const InodeId id = alloc_inode(kind, mode, cred, at.dir);
+  dir.entries.emplace(std::string(at.leaf), id);
+  dir.mtime = clock_->now();
+  return id;
 }
 
 Result<void> FileSystem::mkdir(const Credentials& cred,
                                const std::string& path, unsigned mode) {
   auto parent = walk_parent(cred, path);
   if (!parent) return parent.error();
-  Inode& dir = get(parent->first);
-  if (dir.entries.contains(parent->second)) return Errno::eexist;
-  if (!permits(cred, dir, Access::write)) return Errno::eacces;
-  const InodeId id = alloc_inode(FileKind::directory,
-                                 creation_mode(cred, mode), cred,
-                                 parent->first);
-  dir.entries.emplace(parent->second, id);
-  dir.mtime = clock_->now();
+  auto id = make_entry(cred, *parent, FileKind::directory,
+                       creation_mode(cred, mode));
+  if (!id) return id.error();
   return ok_result();
 }
 
@@ -308,14 +330,9 @@ Result<void> FileSystem::create(const Credentials& cred,
                                 const std::string& path, unsigned mode) {
   auto parent = walk_parent(cred, path);
   if (!parent) return parent.error();
-  Inode& dir = get(parent->first);
-  if (dir.entries.contains(parent->second)) return Errno::eexist;
-  if (!permits(cred, dir, Access::write)) return Errno::eacces;
-  const InodeId id = alloc_inode(FileKind::regular,
-                                 creation_mode(cred, mode), cred,
-                                 parent->first);
-  dir.entries.emplace(parent->second, id);
-  dir.mtime = clock_->now();
+  auto id = make_entry(cred, *parent, FileKind::regular,
+                       creation_mode(cred, mode));
+  if (!id) return id.error();
   return ok_result();
 }
 
@@ -324,14 +341,9 @@ Result<void> FileSystem::symlink(const Credentials& cred,
                                  const std::string& path) {
   auto parent = walk_parent(cred, path);
   if (!parent) return parent.error();
-  Inode& dir = get(parent->first);
-  if (dir.entries.contains(parent->second)) return Errno::eexist;
-  if (!permits(cred, dir, Access::write)) return Errno::eacces;
-  const InodeId id =
-      alloc_inode(FileKind::symlink, 0777, cred, parent->first);
-  get(id).symlink_target = target;
-  dir.entries.emplace(parent->second, id);
-  dir.mtime = clock_->now();
+  auto id = make_entry(cred, *parent, FileKind::symlink, 0777);
+  if (!id) return id.error();
+  get(*id).symlink_target = target;
   return ok_result();
 }
 
@@ -341,13 +353,9 @@ Result<void> FileSystem::mknod_chardev(const Credentials& cred,
   if (!cred.is_root()) return Errno::eperm;
   auto parent = walk_parent(cred, path);
   if (!parent) return parent.error();
-  Inode& dir = get(parent->first);
-  if (dir.entries.contains(parent->second)) return Errno::eexist;
-  const InodeId id = alloc_inode(FileKind::chardev, mode & kModePermMask,
-                                 cred, parent->first);
-  get(id).device = std::move(device);
-  dir.entries.emplace(parent->second, id);
-  dir.mtime = clock_->now();
+  auto id = make_entry(cred, *parent, FileKind::chardev, mode & kModePermMask);
+  if (!id) return id.error();
+  get(*id).device = std::move(device);
   return ok_result();
 }
 
@@ -371,14 +379,15 @@ Result<void> FileSystem::unlink(const Credentials& cred,
                                 const std::string& path) {
   auto parent = walk_parent(cred, path);
   if (!parent) return parent.error();
-  Inode& dir = get(parent->first);
-  auto it = dir.entries.find(parent->second);
-  if (it == dir.entries.end()) return Errno::enoent;
-  Inode& victim = get(it->second);
+  Inode& dir = get(parent->dir);
+  const InodeId* entry = dir.entries.find(parent->leaf);
+  if (entry == nullptr) return Errno::enoent;
+  const InodeId id = *entry;
+  Inode& victim = get(id);
   if (victim.is_dir()) return Errno::eisdir;
   if (auto r = may_remove_entry(cred, dir, victim); !r) return r;
-  drop_inode_ref(it->second);
-  dir.entries.erase(it);
+  drop_inode_ref(id);
+  dir.entries.erase(parent->leaf);
   dir.mtime = clock_->now();
   return ok_result();
 }
@@ -388,18 +397,18 @@ Result<void> FileSystem::link(const Credentials& cred,
                               const std::string& newpath) {
   auto src = resolve(cred, existing, /*follow=*/true);
   if (!src) return src.error();
-  Inode& target = get(src->node);
+  Inode& target = get(*src);
   if (target.is_dir()) return Errno::eperm;  // no directory hard links
 
   auto parent = walk_parent(cred, newpath);
   if (!parent) return parent.error();
-  Inode& dir = get(parent->first);
-  if (dir.entries.contains(parent->second)) return Errno::eexist;
+  Inode& dir = get(parent->dir);
+  if (dir.entries.contains(parent->leaf)) return Errno::eexist;
   if (!permits(cred, dir, Access::write)) return Errno::eacces;
 
   ++target.nlink;
   target.ctime = clock_->now();
-  dir.entries.emplace(parent->second, src->node);
+  dir.entries.emplace(std::string(parent->leaf), *src);
   dir.mtime = clock_->now();
   return ok_result();
 }
@@ -408,15 +417,16 @@ Result<void> FileSystem::rmdir(const Credentials& cred,
                                const std::string& path) {
   auto parent = walk_parent(cred, path);
   if (!parent) return parent.error();
-  Inode& dir = get(parent->first);
-  auto it = dir.entries.find(parent->second);
-  if (it == dir.entries.end()) return Errno::enoent;
-  Inode& victim = get(it->second);
+  Inode& dir = get(parent->dir);
+  const InodeId* entry = dir.entries.find(parent->leaf);
+  if (entry == nullptr) return Errno::enoent;
+  const InodeId id = *entry;
+  Inode& victim = get(id);
   if (!victim.is_dir()) return Errno::enotdir;
   if (!victim.entries.empty()) return Errno::enotempty;
   if (auto r = may_remove_entry(cred, dir, victim); !r) return r;
-  inodes_.erase(it->second);
-  dir.entries.erase(it);
+  erase_inode(id);
+  dir.entries.erase(parent->leaf);
   dir.mtime = clock_->now();
   return ok_result();
 }
@@ -426,23 +436,23 @@ Result<void> FileSystem::rename(const Credentials& cred,
                                 const std::string& to) {
   auto src = walk_parent(cred, from);
   if (!src) return src.error();
-  Inode& src_dir = get(src->first);
-  auto sit = src_dir.entries.find(src->second);
-  if (sit == src_dir.entries.end()) return Errno::enoent;
-  const InodeId moving = sit->second;
+  Inode& src_dir = get(src->dir);
+  const InodeId* sit = src_dir.entries.find(src->leaf);
+  if (sit == nullptr) return Errno::enoent;
+  const InodeId moving = *sit;
   if (auto r = may_remove_entry(cred, src_dir, get(moving)); !r) return r;
 
   auto dst = walk_parent(cred, to);
   if (!dst) return dst.error();
-  Inode& dst_dir = get(dst->first);
+  Inode& dst_dir = get(dst->dir);
   if (!permits(cred, dst_dir, Access::write)) return Errno::eacces;
 
-  auto dit = dst_dir.entries.find(dst->second);
-  if (dit != dst_dir.entries.end()) {
+  if (const InodeId* dit = dst_dir.entries.find(dst->leaf)) {
+    const InodeId replaced = *dit;
     // POSIX: if oldpath and newpath are existing links to the same inode,
     // rename does nothing and succeeds.
-    if (dit->second == moving) return ok_result();
-    Inode& existing = get(dit->second);
+    if (replaced == moving) return ok_result();
+    Inode& existing = get(replaced);
     if (existing.is_dir() && !existing.entries.empty()) {
       return Errno::enotempty;
     }
@@ -450,25 +460,45 @@ Result<void> FileSystem::rename(const Credentials& cred,
       return existing.is_dir() ? Errno::eisdir : Errno::enotdir;
     }
     if (auto r = may_remove_entry(cred, dst_dir, existing); !r) return r;
-    drop_inode_ref(dit->second);
-    dst_dir.entries.erase(dit);
+    drop_inode_ref(replaced);
+    dst_dir.entries.erase(dst->leaf);
   }
 
-  // Re-find: dst insertion may alias src_dir; maps stay valid, but the
-  // iterator into src_dir does if they are the same inode — erase by key.
-  get(src->first).entries.erase(src->second);
-  get(dst->first).entries.emplace(dst->second, moving);
-  get(src->first).mtime = clock_->now();
-  get(dst->first).mtime = clock_->now();
+  // The two directories may be one inode: erase and insert by key.
+  src_dir.entries.erase(src->leaf);
+  dst_dir.entries.emplace(std::string(dst->leaf), moving);
+  src_dir.mtime = clock_->now();
+  dst_dir.mtime = clock_->now();
   return ok_result();
 }
 
 Result<void> FileSystem::write_file(const Credentials& cred,
                                     const std::string& path,
                                     std::string data) {
-  auto r = resolve(cred, path, /*follow=*/true);
-  if (r) {
-    Inode& node = get(r->node);
+  // One walk serves both outcomes: it ends in the parent directory, which
+  // either names the file (overwrite) or not (create). An outage fails
+  // before the path is parsed, as in resolve.
+  if (unavailable()) return Errno::eio;
+  auto parent = walk_parent(cred, path);
+  if (!parent) {
+    // walk_parent refuses "/" itself with EEXIST; writing it is EISDIR.
+    return parent.error() == Errno::eexist ? Errno::eisdir : parent.error();
+  }
+  Inode& dir = get(parent->dir);
+
+  if (const InodeId* entry = dir.entries.find(parent->leaf)) {
+    InodeId id = *entry;
+    if (get(id).kind == FileKind::symlink) {
+      // Write through the link. A dangling one creates nothing: its own
+      // name is taken.
+      auto target = resolve(cred, path, /*follow=*/true);
+      if (!target) {
+        return target.error() == Errno::enoent ? Errno::eexist
+                                               : target.error();
+      }
+      id = *target;
+    }
+    Inode& node = get(id);
     if (node.is_dir()) return Errno::eisdir;
     if (node.kind == FileKind::chardev) return Errno::einval;
     if (!permits(cred, node, Access::write)) return Errno::eacces;
@@ -481,20 +511,19 @@ Result<void> FileSystem::write_file(const Credentials& cred,
     node.mtime = clock_->now();
     return ok_result();
   }
-  if (r.error() != Errno::enoent) return r.error();
-  if (auto c = create(cred, path, 0666); !c) return c;
-  auto again = resolve(cred, path, /*follow=*/true);
-  assert(again.ok());
-  Inode& node = get(again->node);
-  if (auto q = charge_bytes(node.uid,
-                            static_cast<std::int64_t>(data.size()),
+
+  auto id = make_entry(cred, *parent, FileKind::regular,
+                       creation_mode(cred, 0666));
+  if (!id) return id.error();
+  if (auto q = charge_bytes(cred.uid, static_cast<std::int64_t>(data.size()),
                             !cred.is_root());
       !q) {
     // Roll the empty file back out so a failed write leaves no debris.
-    (void)unlink(cred, path);
+    dir.entries.erase(parent->leaf);
+    erase_inode(*id);
     return q;
   }
-  node.data = std::move(data);
+  get(*id).data = std::move(data);
   return ok_result();
 }
 
@@ -503,7 +532,7 @@ Result<void> FileSystem::append_file(const Credentials& cred,
                                      const std::string& data) {
   auto r = resolve(cred, path, /*follow=*/true);
   if (!r) return r.error();
-  Inode& node = get(r->node);
+  Inode& node = get(*r);
   if (node.is_dir()) return Errno::eisdir;
   if (!permits(cred, node, Access::write)) return Errno::eacces;
   if (auto q = charge_bytes(node.uid,
@@ -527,7 +556,7 @@ Result<std::string> FileSystem::read_file(const Credentials& cred,
     }
     return r.error();
   }
-  const Inode& node = get(r->node);
+  const Inode& node = get(*r);
   if (node.is_dir()) return Errno::eisdir;
   const bool allowed = permits(cred, node, Access::read);
   record_read(cred, path, obs::DecisionPoint::fs_access, node.uid, allowed);
@@ -545,7 +574,7 @@ Result<std::vector<DirEntry>> FileSystem::readdir(const Credentials& cred,
     }
     return r.error();
   }
-  const Inode& dir = get(r->node);
+  const Inode& dir = get(*r);
   if (!dir.is_dir()) return Errno::enotdir;
   const bool allowed = permits(cred, dir, Access::read);
   if (!allowed) {
@@ -567,6 +596,9 @@ Result<std::vector<DirEntry>> FileSystem::readdir(const Credentials& cred,
   for (const auto& [name, id] : dir.entries) {
     out.push_back({name, get(id).kind});
   }
+  std::sort(out.begin(), out.end(), [](const DirEntry& x, const DirEntry& y) {
+    return x.name < y.name;
+  });
   return out;
 }
 
@@ -574,7 +606,7 @@ Result<Stat> FileSystem::stat(const Credentials& cred,
                               const std::string& path) {
   auto r = resolve(cred, path, /*follow=*/true);
   if (!r) return r.error();
-  const Inode& node = get(r->node);
+  const Inode& node = get(*r);
   return Stat{node.id,     node.kind,  node.mode,
               node.uid,    node.gid,   node.size(),
               node.mtime,  node.acl.has_value() && !node.acl->empty(),
@@ -585,7 +617,7 @@ Result<std::string> FileSystem::readlink(const Credentials& cred,
                                          const std::string& path) {
   auto r = resolve(cred, path, /*follow=*/false);
   if (!r) return r.error();
-  const Inode& node = get(r->node);
+  const Inode& node = get(*r);
   if (node.kind != FileKind::symlink) return Errno::einval;
   return node.symlink_target;
 }
@@ -600,7 +632,7 @@ Result<void> FileSystem::access(const Credentials& cred,
     }
     return r.error();
   }
-  const Inode& node = get(r->node);
+  const Inode& node = get(*r);
   const bool allowed = permits(cred, node, want);
   record_read(cred, path, obs::DecisionPoint::fs_access, node.uid, allowed);
   if (!allowed) return Errno::eacces;
@@ -611,7 +643,7 @@ Result<void> FileSystem::chmod(const Credentials& cred,
                                const std::string& path, unsigned mode) {
   auto r = resolve(cred, path, /*follow=*/true);
   if (!r) return r.error();
-  Inode& node = get(r->node);
+  Inode& node = get(*r);
   if (!cred.is_root() && cred.uid != node.uid) {
     if (trace_ != nullptr && !cred.is_root()) {
       // Chmod-ing a root-owned home is exactly what the root-owned-homes
@@ -655,7 +687,7 @@ Result<void> FileSystem::chown(const Credentials& cred,
   if (!r) return r.error();
   if (!cred.is_root()) return Errno::eperm;
   if (!users_->user_exists(new_owner)) return Errno::einval;
-  Inode& node = get(r->node);
+  Inode& node = get(*r);
   // Quota accounting follows ownership.
   if (node.kind == FileKind::regular && !node.data.empty()) {
     const auto size = static_cast<std::int64_t>(node.data.size());
@@ -671,7 +703,7 @@ Result<void> FileSystem::chgrp(const Credentials& cred,
                                const std::string& path, Gid new_group) {
   auto r = resolve(cred, path, /*follow=*/true);
   if (!r) return r.error();
-  Inode& node = get(r->node);
+  Inode& node = get(*r);
   if (!users_->group_exists(new_group)) return Errno::einval;
   if (!cred.is_root()) {
     if (cred.uid != node.uid) return Errno::eperm;
@@ -759,7 +791,7 @@ Result<void> FileSystem::acl_set(const Credentials& cred,
                                  const AclEntry& entry) {
   auto r = resolve(cred, path, /*follow=*/true);
   if (!r) return r.error();
-  Inode& node = get(r->node);
+  Inode& node = get(*r);
   if (!cred.is_root() && cred.uid != node.uid) {
     record_acl_verdict(cred, path, node.uid, entry,
                        obs::knob::root_owned_homes);
@@ -783,7 +815,7 @@ Result<void> FileSystem::acl_set_default(const Credentials& cred,
                                          const AclEntry& entry) {
   auto r = resolve(cred, dir, /*follow=*/true);
   if (!r) return r.error();
-  Inode& node = get(r->node);
+  Inode& node = get(*r);
   if (!node.is_dir()) return Errno::enotdir;
   if (!cred.is_root() && cred.uid != node.uid) {
     record_acl_verdict(cred, dir, node.uid, entry,
@@ -808,7 +840,7 @@ Result<void> FileSystem::acl_remove_default(const Credentials& cred,
                                             AclTag tag, Uid uid, Gid gid) {
   auto r = resolve(cred, dir, /*follow=*/true);
   if (!r) return r.error();
-  Inode& node = get(r->node);
+  Inode& node = get(*r);
   if (!node.is_dir()) return Errno::enotdir;
   if (!cred.is_root() && cred.uid != node.uid) return Errno::eperm;
   if (!node.default_acl || !node.default_acl->remove(tag, uid, gid)) {
@@ -822,7 +854,7 @@ Result<Acl> FileSystem::acl_get_default(const Credentials& cred,
                                         const std::string& dir) {
   auto r = resolve(cred, dir, /*follow=*/true);
   if (!r) return r.error();
-  const Inode& node = get(r->node);
+  const Inode& node = get(*r);
   if (!node.is_dir()) return Errno::enotdir;
   return node.default_acl.value_or(Acl{});
 }
@@ -832,7 +864,7 @@ Result<void> FileSystem::acl_remove(const Credentials& cred,
                                     Uid uid, Gid gid) {
   auto r = resolve(cred, path, /*follow=*/true);
   if (!r) return r.error();
-  Inode& node = get(r->node);
+  Inode& node = get(*r);
   if (!cred.is_root() && cred.uid != node.uid) return Errno::eperm;
   if (!node.acl || !node.acl->remove(tag, uid, gid)) return Errno::enoent;
   node.ctime = clock_->now();
@@ -843,7 +875,7 @@ Result<Acl> FileSystem::acl_get(const Credentials& cred,
                                 const std::string& path) {
   auto r = resolve(cred, path, /*follow=*/true);
   if (!r) return r.error();
-  const Inode& node = get(r->node);
+  const Inode& node = get(*r);
   return node.acl.value_or(Acl{});
 }
 
@@ -852,7 +884,7 @@ Result<DeviceRef> FileSystem::open_device(const Credentials& cred,
                                           Access want) {
   auto r = resolve(cred, path, /*follow=*/true);
   if (!r) return r.error();
-  const Inode& node = get(r->node);
+  const Inode& node = get(*r);
   if (node.kind != FileKind::chardev) return Errno::enodev;
   const bool allowed = permits(cred, node, want);
   if (trace_ != nullptr && !cred.is_root() &&
@@ -880,17 +912,24 @@ void FileSystem::for_each(
     const Inode& node = get(id);
     visit(path, node);
     if (node.is_dir()) {
+      // Pushed in name order, so popped in reverse.
+      const std::size_t first = stack.size();
       for (const auto& [name, child] : node.entries) {
         const std::string child_path =
             (path == "/") ? "/" + name : path + "/" + name;
         stack.emplace_back(child_path, child);
       }
+      std::sort(stack.begin() + static_cast<std::ptrdiff_t>(first),
+                stack.end());
     }
   }
 }
 
 void MountTable::mount(const std::string& prefix, FileSystem* fs) {
-  assert(!prefix.empty() && prefix.front() == '/');
+  if (prefix.empty() || prefix.front() != '/') {
+    throw std::invalid_argument("mount prefix must be absolute: '" + prefix +
+                                "'");
+  }
   mounts_.emplace_back(prefix, fs);
   std::sort(mounts_.begin(), mounts_.end(),
             [](const auto& a, const auto& b) {

@@ -18,15 +18,18 @@
 //    home open (constructed by core::Cluster, enforced here by plain DAC).
 #pragma once
 
+#include <cstddef>
 #include <functional>
 #include <optional>
 #include <string>
-#include <unordered_map>
+#include <string_view>
 #include <vector>
 
 #include "common/clock.h"
+#include "common/flat_map.h"
 #include "common/ids.h"
 #include "common/result.h"
+#include "common/rows.h"
 #include "obs/decision.h"
 #include "simos/credentials.h"
 #include "simos/user_db.h"
@@ -67,7 +70,8 @@ struct DirEntry {
 
 /// One mounted filesystem instance (a node-local disk, or the shared
 /// central filesystem). All operations take the caller's Credentials and
-/// return POSIX errors; nothing here trusts the caller.
+/// return POSIX errors; nothing here trusts the caller. Path operations
+/// share one walk buffer, so an instance serves one thread at a time.
 class FileSystem {
  public:
   /// `name` is a label for diagnostics ("local:node3", "lustre:shared").
@@ -199,24 +203,46 @@ class FileSystem {
 
   // ---- bookkeeping -----------------------------------------------------
 
-  [[nodiscard]] std::size_t inode_count() const { return inodes_.size(); }
+  [[nodiscard]] std::size_t inode_count() const { return live_inodes_; }
 
-  /// Walk the whole tree (for audits); visitor sees (path, inode).
+  /// Walk the whole tree (for audits); visitor sees (path, inode). Each
+  /// directory's children are visited in descending name order.
   void for_each(const std::function<void(const std::string&, const Inode&)>&
                     visit) const;
 
  private:
-  struct Resolved {
-    InodeId parent;  ///< containing directory
-    InodeId node;    ///< the object itself
-    std::string leaf;
+  /// The directory holding a path's last component, and that component's
+  /// name, which views the caller's path.
+  struct Parent {
+    InodeId dir;
+    std::string_view leaf;
   };
 
-  Inode& get(InodeId id) { return inodes_.at(id); }
-  [[nodiscard]] const Inode& get(InodeId id) const { return inodes_.at(id); }
+  Inode& get(InodeId id) { return inodes_[row_of(id)]; }
+  [[nodiscard]] const Inode& get(InodeId id) const {
+    return inodes_[row_of(id)];
+  }
+  /// Inode ids are issued densely from 1, so id i lives in row i-1. A
+  /// removed or never-issued id throws std::out_of_range, as a map's
+  /// `at` would.
+  [[nodiscard]] std::size_t row_of(InodeId id) const {
+    const std::size_t row = id.value() - 1;
+    if (row >= inodes_.size() || inodes_[row].id != id) no_inode(id);
+    return row;
+  }
+  [[noreturn]] static void no_inode(InodeId id);
 
   InodeId alloc_inode(FileKind kind, unsigned mode,
                       const simos::Credentials& cred, InodeId parent);
+
+  /// Empty a removed inode's row; its id is never issued again, because
+  /// Stat::inode shows ids.
+  void erase_inode(InodeId id);
+
+  /// Create a `kind` inode named `at.leaf` in `at.dir`: EEXIST when the
+  /// name is taken, EACCES without write permission on the directory.
+  Result<InodeId> make_entry(const simos::Credentials& cred, const Parent& at,
+                             FileKind kind, unsigned mode);
 
   /// Decrement a link count, erasing the inode at zero.
   void drop_inode_ref(InodeId id);
@@ -236,14 +262,21 @@ class FileSystem {
                              const Inode& node, Access want) const;
 
   /// Walk to the parent directory of `path`, enforcing search (+x) on every
-  /// directory along the way. Returns the parent inode id + leaf name.
-  Result<std::pair<InodeId, std::string>> walk_parent(
-      const simos::Credentials& cred, const std::string& path);
+  /// directory along the way, the parent included.
+  Result<Parent> walk_parent(const simos::Credentials& cred,
+                             const std::string& path);
 
-  /// Full resolution of `path` (follows symlinks when `follow`).
-  Result<Resolved> resolve(const simos::Credentials& cred,
-                           const std::string& path, bool follow,
-                           std::size_t depth = 0);
+  /// Full resolution of `path` (follows a final symlink when `follow`).
+  Result<InodeId> resolve(const simos::Credentials& cred,
+                          std::string_view path, bool follow);
+
+  /// The one walk every path operation makes: down from the root through
+  /// the components in `parts_`, enforcing search (+x) on each directory
+  /// it enters. A symlink on the way (the last component's only when
+  /// `follow`) restarts the walk: its target and the components after it
+  /// are normalised into `parts_` again. More than kMaxSymlinkDepth
+  /// restarts is ELOOP.
+  Result<InodeId> descend(const simos::Credentials& cred, bool follow);
 
   /// Effective mode for a newly created object under umask/smask.
   [[nodiscard]] unsigned creation_mode(const simos::Credentials& cred,
@@ -274,15 +307,21 @@ class FileSystem {
   const simos::UserDb* users_;
   const common::SimClock* clock_;
   FsPolicy policy_;
-  std::unordered_map<InodeId, Inode> inodes_;
+  common::Rows<Inode> inodes_;
+  std::size_t live_inodes_ = 0;
   InodeId root_;
   std::uint64_t next_inode_ = 1;
   std::function<bool()> outage_probe_;
   obs::DecisionTrace* trace_ = nullptr;
   std::optional<std::uint64_t> capacity_;
-  std::unordered_map<Uid, std::uint64_t> quota_limits_;
-  std::unordered_map<Uid, std::uint64_t> quota_used_;
+  common::FlatMap<Uid, std::uint64_t> quota_limits_;
+  common::FlatMap<Uid, std::uint64_t> quota_used_;
   std::uint64_t total_used_ = 0;
+  /// The walk's reusable buffers: the components being walked, and the
+  /// path the last symlink restart built, which they may view. No view
+  /// into them outlives a walk, so one pair serves every operation.
+  std::vector<std::string_view> parts_;
+  std::string link_path_;
 };
 
 /// Prefix-based mount table: routes absolute paths to the filesystem
@@ -293,7 +332,8 @@ class FileSystem {
 /// it), so no rewriting is performed — the FS sees cluster-absolute paths.
 class MountTable {
  public:
-  /// Longest-prefix mount registration. `prefix` must be absolute.
+  /// Longest-prefix mount registration. `prefix` must be absolute;
+  /// anything else throws std::invalid_argument.
   void mount(const std::string& prefix, FileSystem* fs);
 
   /// Filesystem responsible for `path`, or nullptr when nothing matches.

@@ -1,12 +1,12 @@
 // Inode model for the in-memory POSIX filesystem.
 #pragma once
 
-#include <map>
 #include <optional>
 #include <string>
 #include <vector>
 
 #include "common/clock.h"
+#include "common/flat_map.h"
 #include "common/ids.h"
 #include "vfs/acl.h"
 
@@ -38,13 +38,14 @@ struct Inode {
   common::SimTime mtime{};
   common::SimTime ctime{};
 
-  std::string data;                        ///< regular file payload
-  std::map<std::string, InodeId> entries;  ///< directory contents
-  std::string symlink_target;              ///< symlink payload
-  std::optional<DeviceRef> device;         ///< chardev payload
-  std::optional<Acl> acl;                  ///< extended (access) ACL
-  std::optional<Acl> default_acl;          ///< directories: inherited ACL
-  unsigned nlink = 1;                      ///< hard-link count
+  std::string data;  ///< regular file payload
+  /// Directory contents, in no useful order: listings sort by name.
+  common::FlatMap<std::string, InodeId> entries;
+  std::string symlink_target;       ///< symlink payload
+  std::optional<DeviceRef> device;  ///< chardev payload
+  std::optional<Acl> acl;           ///< extended (access) ACL
+  std::optional<Acl> default_acl;   ///< directories: inherited ACL
+  unsigned nlink = 1;               ///< hard-link count
 
   [[nodiscard]] bool is_dir() const { return kind == FileKind::directory; }
   [[nodiscard]] std::size_t size() const {

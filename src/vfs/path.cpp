@@ -2,47 +2,26 @@
 
 namespace heus::vfs {
 
-Result<std::vector<std::string>> split_path(std::string_view path) {
+Result<void> split_path(std::string_view path,
+                        std::vector<std::string_view>& parts) {
+  parts.clear();
   if (path.empty() || path.front() != '/') return Errno::einval;
-  std::vector<std::string> parts;
   std::size_t i = 1;
   while (i <= path.size()) {
     std::size_t j = path.find('/', i);
     if (j == std::string_view::npos) j = path.size();
-    std::string_view comp = path.substr(i, j - i);
+    const std::string_view comp = path.substr(i, j - i);
     if (!comp.empty() && comp != ".") {
       if (comp.size() > kMaxNameLen) return Errno::enametoolong;
       if (comp == "..") {
         if (!parts.empty()) parts.pop_back();
       } else {
-        parts.emplace_back(comp);
+        parts.push_back(comp);
       }
     }
     i = j + 1;
   }
-  return parts;
-}
-
-std::string join_path(const std::vector<std::string>& parts) {
-  if (parts.empty()) return "/";
-  std::string out;
-  for (const auto& p : parts) {
-    out += '/';
-    out += p;
-  }
-  return out;
-}
-
-std::string dirname(std::string_view path) {
-  const std::size_t pos = path.find_last_of('/');
-  if (pos == std::string_view::npos || pos == 0) return "/";
-  return std::string(path.substr(0, pos));
-}
-
-std::string basename(std::string_view path) {
-  const std::size_t pos = path.find_last_of('/');
-  if (pos == std::string_view::npos) return std::string(path);
-  return std::string(path.substr(pos + 1));
+  return ok_result();
 }
 
 }  // namespace heus::vfs

@@ -1,7 +1,7 @@
 // Path handling for the simulated VFS. Paths are absolute, '/'-separated.
 #pragma once
 
-#include <string>
+#include <cstddef>
 #include <string_view>
 #include <vector>
 
@@ -12,19 +12,13 @@ namespace heus::vfs {
 inline constexpr std::size_t kMaxNameLen = 255;
 inline constexpr std::size_t kMaxSymlinkDepth = 8;
 
-/// Split an absolute path into components, normalising "." and empty
-/// segments. ".." is resolved lexically (the simulated VFS has no
-/// mount-crossing ".." subtleties to preserve). Returns EINVAL for
-/// relative paths, ENAMETOOLONG for oversized components.
-Result<std::vector<std::string>> split_path(std::string_view path);
-
-/// Join components back into an absolute path ("/" for empty).
-[[nodiscard]] std::string join_path(const std::vector<std::string>& parts);
-
-/// Parent directory of an absolute path ("/a/b" -> "/a", "/a" -> "/").
-[[nodiscard]] std::string dirname(std::string_view path);
-
-/// Final component ("/a/b" -> "b", "/" -> "").
-[[nodiscard]] std::string basename(std::string_view path);
+/// Normalise an absolute path into `parts` (cleared first), as views into
+/// `path`: empty and "." components drop, and ".." drops the component
+/// before it, lexically (the simulated VFS has no mount-crossing ".."
+/// subtleties to preserve; above the root it drops nothing). Returns
+/// EINVAL for a relative path, ENAMETOOLONG for an oversized component.
+/// Reusing `parts` across calls makes the split allocation-free.
+Result<void> split_path(std::string_view path,
+                        std::vector<std::string_view>& parts);
 
 }  // namespace heus::vfs

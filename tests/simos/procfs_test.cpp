@@ -122,5 +122,34 @@ TEST_F(ProcFsTest, MissingPidIsEnoentRegardlessOfMode) {
   }
 }
 
+TEST_F(ProcFsTest, ListIsAscendingAfterAMiddleExit) {
+  const Pid a2 = table.spawn(alice_cred, "a2");
+  const Pid b2 = table.spawn(bob_cred, "b2");
+  const Pid a3 = table.spawn(alice_cred, "a3");
+  ASSERT_TRUE(table.exit(b2).ok());
+  ProcFs fs = make(HidepidMode::invisible);
+  EXPECT_EQ(fs.list(root_credentials()),
+            (std::vector<Pid>{alice_pid, bob_pid, a2, a3}));
+
+  // Each scanned foreign process is one verdict, recorded in pid order.
+  obs::DecisionTrace trace;
+  trace.set_enabled(true);
+  fs.set_trace(&trace);
+  EXPECT_EQ(fs.list(bob_cred), (std::vector<Pid>{bob_pid}));
+  std::vector<std::string> objects;
+  for (const obs::Decision& d : trace.snapshot()) {
+    EXPECT_EQ(d.outcome, obs::Outcome::deny);
+    objects.push_back(d.object);
+  }
+  auto label = [](Pid pid) { return "/proc/" + std::to_string(pid.value()); };
+  EXPECT_EQ(objects,
+            (std::vector<std::string>{label(alice_pid), label(a2), label(a3)}));
+
+  const auto view = fs.snapshot(root_credentials());
+  ASSERT_EQ(view.size(), 4u);
+  EXPECT_EQ(view[2].pid, a2);
+  EXPECT_EQ(view[3].pid, a3);
+}
+
 }  // namespace
 }  // namespace heus::simos

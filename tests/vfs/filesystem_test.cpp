@@ -347,5 +347,131 @@ TEST_F(FileSystemTest, NonRootChmodOutsideGroupClearsSetgid) {
   EXPECT_EQ(fs->stat(a, "/home/alice/f")->mode & kModeSetgid, 0u);
 }
 
+// ---- The path walk's edge cases --------------------------------------
+// Every create and remove operation takes its parent directory and leaf
+// name from one walk; these pin what that walk must keep doing.
+
+class WalkEdgeTest : public FileSystemTest {
+ protected:
+  void SetUp() override {
+    FileSystemTest::SetUp();
+    ASSERT_TRUE(fs->mkdir(root, "/tmp", 01777).ok());
+    ASSERT_TRUE(fs->chmod(root, "/tmp", 01777).ok());
+  }
+};
+
+TEST_F(WalkEdgeTest, WriteThroughDanglingFinalSymlinkIsEexist) {
+  ASSERT_TRUE(fs->symlink(a, "/tmp/nowhere", "/tmp/abs").ok());
+  ASSERT_TRUE(fs->symlink(a, "nowhere-rel", "/tmp/rel").ok());
+  // The link's own name is taken, and nothing is created at its target.
+  EXPECT_EQ(fs->write_file(a, "/tmp/abs", "x").error(), Errno::eexist);
+  EXPECT_EQ(fs->write_file(a, "/tmp/rel", "x").error(), Errno::eexist);
+  EXPECT_EQ(fs->stat(a, "/tmp/nowhere").error(), Errno::enoent);
+  EXPECT_EQ(fs->stat(a, "/tmp/nowhere-rel").error(), Errno::enoent);
+  EXPECT_EQ(*fs->readlink(a, "/tmp/abs"), "/tmp/nowhere");
+}
+
+TEST_F(WalkEdgeTest, WriteThroughDirectorySymlinkCreatesInTarget) {
+  ASSERT_TRUE(fs->mkdir(a, "/tmp/d", 0755).ok());
+  ASSERT_TRUE(fs->symlink(a, "d", "/tmp/ld").ok());
+  ASSERT_TRUE(fs->write_file(a, "/tmp/ld/new", "payload").ok());
+  EXPECT_EQ(*fs->read_file(a, "/tmp/d/new"), "payload");
+  EXPECT_EQ(fs->stat(a, "/tmp/new").error(), Errno::enoent);
+  // An existing file is overwritten through the same link.
+  ASSERT_TRUE(fs->write_file(a, "/tmp/ld/new", "again").ok());
+  EXPECT_EQ(*fs->read_file(a, "/tmp/d/new"), "again");
+}
+
+TEST_F(WalkEdgeTest, DotDotAfterSymlinkIsLexical) {
+  ASSERT_TRUE(fs->mkdir(a, "/tmp/d", 0755).ok());
+  ASSERT_TRUE(fs->mkdir(a, "/tmp/d/e", 0755).ok());
+  ASSERT_TRUE(fs->symlink(a, "/tmp/d/e", "/tmp/ld").ok());
+  // ".." cancels "ld" before any link is followed: the file lands in
+  // /tmp, not in the link target's parent.
+  ASSERT_TRUE(fs->write_file(a, "/tmp/ld/../x2", "x").ok());
+  EXPECT_TRUE(fs->stat(a, "/tmp/x2").ok());
+  EXPECT_EQ(fs->stat(a, "/tmp/d/x2").error(), Errno::enoent);
+}
+
+TEST_F(WalkEdgeTest, DoubleSlashAndDotComponentsOnCreateAndRemove) {
+  ASSERT_TRUE(fs->write_file(a, "//home//alice/./f1", "x").ok());
+  EXPECT_EQ(*fs->read_file(a, "/home/alice/f1"), "x");
+  ASSERT_TRUE(fs->mkdir(a, "/home/alice//./d1/", 0755).ok());
+  EXPECT_EQ(fs->stat(a, "/home/alice/d1")->kind, FileKind::directory);
+  ASSERT_TRUE(fs->unlink(a, "/home//alice/./f1").ok());
+  EXPECT_EQ(fs->stat(a, "/home/alice/f1").error(), Errno::enoent);
+  ASSERT_TRUE(fs->rmdir(a, "/home/alice/d1/.").ok());
+  EXPECT_EQ(fs->stat(a, "/home/alice/d1").error(), Errno::enoent);
+}
+
+TEST_F(WalkEdgeTest, OverlongComponentIsEnametoolong) {
+  const std::string longest(kMaxNameLen, 'n');
+  const std::string over(kMaxNameLen + 1, 'n');
+  EXPECT_EQ(fs->write_file(a, "/home/alice/" + over, "x").error(),
+            Errno::enametoolong);
+  EXPECT_EQ(fs->mkdir(a, "/home/alice/" + over, 0755).error(),
+            Errno::enametoolong);
+  EXPECT_TRUE(fs->write_file(a, "/home/alice/" + longest, "x").ok());
+  EXPECT_TRUE(fs->stat(a, "/home/alice/" + longest).ok());
+}
+
+TEST_F(WalkEdgeTest, RootOnTheCreatePath) {
+  EXPECT_EQ(fs->write_file(a, "/", "x").error(), Errno::eisdir);
+  EXPECT_EQ(fs->mkdir(a, "/", 0755).error(), Errno::eexist);
+  EXPECT_EQ(fs->mkdir(root, "/", 0755).error(), Errno::eexist);
+}
+
+TEST_F(WalkEdgeTest, MissingIntermediateIsEnoentOnCreate) {
+  EXPECT_EQ(fs->write_file(a, "/home/alice/nodir/f", "x").error(),
+            Errno::enoent);
+  EXPECT_EQ(fs->mkdir(a, "/home/alice/nodir/sub", 0755).error(),
+            Errno::enoent);
+  EXPECT_EQ(fs->stat(a, "/home/alice/nodir").error(), Errno::enoent);
+}
+
+TEST_F(WalkEdgeTest, OutageFailsTheCreatePathWithEio) {
+  fs->set_outage_probe([] { return true; });
+  EXPECT_EQ(fs->write_file(a, "/home/alice/f", "x").error(), Errno::eio);
+  EXPECT_EQ(fs->create(a, "/home/alice/g", 0644).error(), Errno::eio);
+  EXPECT_EQ(fs->mkdir(a, "/home/alice/d", 0755).error(), Errno::eio);
+  fs->set_outage_probe(nullptr);
+  EXPECT_EQ(fs->stat(a, "/home/alice/f").error(), Errno::enoent);
+  EXPECT_TRUE(fs->write_file(a, "/home/alice/f", "x").ok());
+}
+
+TEST_F(WalkEdgeTest, RemovedInodeIdsAreNotReused) {
+  ASSERT_TRUE(fs->write_file(a, "/tmp/f", "x").ok());
+  const InodeId first = fs->stat(a, "/tmp/f")->inode;
+  const std::size_t live = fs->inode_count();
+  ASSERT_TRUE(fs->unlink(a, "/tmp/f").ok());
+  EXPECT_EQ(fs->inode_count(), live - 1);
+  ASSERT_TRUE(fs->write_file(a, "/tmp/f", "x").ok());
+  EXPECT_GT(fs->stat(a, "/tmp/f")->inode, first);
+}
+
+// ---- Listing order -----------------------------------------------------
+
+TEST_F(WalkEdgeTest, ListingsKeepByteOrderAfterAMiddleUnlink) {
+  ASSERT_TRUE(fs->mkdir(a, "/tmp/o", 0755).ok());
+  for (const char* name : {"c", "a", "e", "B", "d"}) {
+    ASSERT_TRUE(fs->write_file(a, std::string("/tmp/o/") + name, "x").ok());
+  }
+  ASSERT_TRUE(fs->unlink(a, "/tmp/o/c").ok());
+
+  auto listed = fs->readdir(a, "/tmp/o");
+  ASSERT_TRUE(listed.ok());
+  std::vector<std::string> names;
+  for (const DirEntry& e : *listed) names.push_back(e.name);
+  EXPECT_EQ(names, (std::vector<std::string>{"B", "a", "d", "e"}));
+
+  // for_each is a depth-first walk that visits each directory's children
+  // in descending byte order.
+  std::vector<std::string> visited;
+  fs->for_each([&](const std::string& path, const Inode&) {
+    if (path.starts_with("/tmp/o/")) visited.push_back(path.substr(7));
+  });
+  EXPECT_EQ(visited, (std::vector<std::string>{"e", "d", "a", "B"}));
+}
+
 }  // namespace
 }  // namespace heus::vfs

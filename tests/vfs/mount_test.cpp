@@ -1,5 +1,7 @@
 #include <gtest/gtest.h>
 
+#include <stdexcept>
+
 #include "vfs/filesystem.h"
 
 namespace heus::vfs {
@@ -43,6 +45,12 @@ TEST_F(MountTableTest, MultipleMountsOfSameFs) {
   EXPECT_EQ(mounts.lookup("/proj/widgets"), &shared);
   EXPECT_EQ(mounts.lookup("/home/alice"), &shared);
   EXPECT_EQ(mounts.mounts().size(), 3u);
+}
+
+TEST_F(MountTableTest, RelativePrefixThrowsInEveryBuild) {
+  EXPECT_THROW(mounts.mount("home", &shared), std::invalid_argument);
+  EXPECT_THROW(mounts.mount("", &shared), std::invalid_argument);
+  EXPECT_TRUE(mounts.mounts().empty());
 }
 
 }  // namespace

@@ -2,19 +2,38 @@
 
 #include <gtest/gtest.h>
 
+#include <string>
+
 #include "common/rng.h"
 
 namespace heus::vfs {
 namespace {
 
+/// The components `split_path` normalises `path` into, or its error.
+Result<std::vector<std::string_view>> split(std::string_view path) {
+  std::vector<std::string_view> parts;
+  if (auto r = split_path(path, parts); !r) return r.error();
+  return parts;
+}
+
+/// The canonical absolute path of `parts` ("/" for none).
+std::string join(const std::vector<std::string_view>& parts) {
+  std::string out;
+  for (const std::string_view p : parts) {
+    out += '/';
+    out += p;
+  }
+  return out.empty() ? "/" : out;
+}
+
 TEST(SplitPath, RootIsEmptyList) {
-  auto parts = split_path("/");
+  auto parts = split("/");
   ASSERT_TRUE(parts.ok());
   EXPECT_TRUE(parts->empty());
 }
 
 TEST(SplitPath, BasicComponents) {
-  auto parts = split_path("/home/alice/data.txt");
+  auto parts = split("/home/alice/data.txt");
   ASSERT_TRUE(parts.ok());
   ASSERT_EQ(parts->size(), 3u);
   EXPECT_EQ((*parts)[0], "home");
@@ -22,57 +41,57 @@ TEST(SplitPath, BasicComponents) {
 }
 
 TEST(SplitPath, NormalisesDotsAndSlashes) {
-  auto parts = split_path("//home//./alice/");
+  auto parts = split("//home//./alice/");
   ASSERT_TRUE(parts.ok());
   ASSERT_EQ(parts->size(), 2u);
   EXPECT_EQ((*parts)[1], "alice");
 }
 
 TEST(SplitPath, DotDotResolvedLexically) {
-  auto parts = split_path("/home/alice/../bob/x");
+  auto parts = split("/home/alice/../bob/x");
   ASSERT_TRUE(parts.ok());
   ASSERT_EQ(parts->size(), 3u);
   EXPECT_EQ((*parts)[1], "bob");
 }
 
 TEST(SplitPath, DotDotAboveRootClamps) {
-  auto parts = split_path("/../../etc");
+  auto parts = split("/../../etc");
   ASSERT_TRUE(parts.ok());
   ASSERT_EQ(parts->size(), 1u);
   EXPECT_EQ((*parts)[0], "etc");
 }
 
 TEST(SplitPath, RelativePathRejected) {
-  EXPECT_EQ(split_path("home/alice").error(), Errno::einval);
-  EXPECT_EQ(split_path("").error(), Errno::einval);
+  EXPECT_EQ(split("home/alice").error(), Errno::einval);
+  EXPECT_EQ(split("").error(), Errno::einval);
 }
 
 TEST(SplitPath, OversizedComponentRejected) {
   const std::string path = "/" + std::string(kMaxNameLen + 1, 'x');
-  EXPECT_EQ(split_path(path).error(), Errno::enametoolong);
+  EXPECT_EQ(split(path).error(), Errno::enametoolong);
 }
 
-TEST(JoinPath, RoundTripsWithSplit) {
+TEST(SplitPath, CanonicalPathRoundTrips) {
   const std::string p = "/proj/widgets/data";
-  EXPECT_EQ(join_path(*split_path(p)), p);
-  EXPECT_EQ(join_path({}), "/");
+  EXPECT_EQ(join(*split(p)), p);
+  EXPECT_EQ(join(*split("/")), "/");
 }
 
-TEST(Dirname, StandardCases) {
-  EXPECT_EQ(dirname("/a/b/c"), "/a/b");
-  EXPECT_EQ(dirname("/a"), "/");
-  EXPECT_EQ(dirname("/"), "/");
-}
-
-TEST(Basename, StandardCases) {
-  EXPECT_EQ(basename("/a/b/c"), "c");
-  EXPECT_EQ(basename("/a"), "a");
-  EXPECT_EQ(basename("/"), "");
+TEST(SplitPath, ComponentsViewTheInputAndReuseTheBuffer) {
+  const std::string path = "/home/alice/data.txt";
+  std::vector<std::string_view> parts{"stale", "entries"};
+  ASSERT_TRUE(split_path(path, parts).ok());
+  ASSERT_EQ(parts.size(), 3u);
+  EXPECT_EQ(parts[0].data(), path.data() + 1);  // no copy was made
+  EXPECT_EQ(parts[2].data(), path.data() + 12);
+  // A failed split leaves nothing behind from the previous call.
+  EXPECT_EQ(split_path("relative", parts).error(), Errno::einval);
+  EXPECT_TRUE(parts.empty());
 }
 
 // Property fuzz: arbitrary byte soup never crashes the splitter, and on
 // success the result is canonical (no empty/"."/".." components, and
-// join∘split is idempotent).
+// splitting the re-joined components gives them back).
 class PathFuzz : public ::testing::TestWithParam<std::uint64_t> {};
 
 TEST_P(PathFuzz, SplitIsTotalAndCanonical) {
@@ -84,7 +103,7 @@ TEST_P(PathFuzz, SplitIsTotalAndCanonical) {
     for (std::uint64_t i = 0; i < len; ++i) {
       path += kAlphabet[rng.bounded(sizeof(kAlphabet) - 1)];
     }
-    auto parts = split_path(path);
+    auto parts = split(path);
     if (!parts) {
       EXPECT_TRUE(parts.error() == Errno::einval ||
                   parts.error() == Errno::enametoolong);
@@ -96,8 +115,8 @@ TEST_P(PathFuzz, SplitIsTotalAndCanonical) {
       EXPECT_NE(comp, "..");
       EXPECT_EQ(comp.find('/'), std::string::npos);
     }
-    const std::string joined = join_path(*parts);
-    auto again = split_path(joined);
+    const std::string joined = join(*parts);
+    auto again = split(joined);
     ASSERT_TRUE(again.ok());
     EXPECT_EQ(*again, *parts);
   }

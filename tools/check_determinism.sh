@@ -71,9 +71,10 @@ check 'std::this_thread' \
   'thread-identity/timing queries (results must not depend on workers)'
 
 # Memory-layout discipline: the per-decision hot-path headers (network,
-# scheduler, decision trace, and the account store UBF admission reads)
-# were migrated off the node-based standard containers (DESIGN.md §8 —
-# common::FlatMap/FlatSet/OrderedSet/OrderedMap/SlotMap over dense
+# scheduler, decision trace, the account store UBF admission reads, and
+# the session path's inodes, filesystem and process table) were migrated
+# off the node-based standard containers (DESIGN.md §8 —
+# common::FlatMap/FlatSet/OrderedSet/OrderedMap/SlotMap/Rows over dense
 # storage). New direct std::unordered_map / std::map members would quietly
 # reintroduce pointer-chasing and allocation churn on the decision path,
 # so any mention outside the reviewed allowlist fails the lint:
@@ -82,7 +83,8 @@ check 'std::this_thread' \
 #     string_view lookup;
 #   - usage_by_user: a public accessor's return type (API stability).
 hotpath_headers="src/net/network.h src/sched/scheduler.h src/obs/decision.h
-  src/simos/user_db.h"
+  src/simos/user_db.h src/vfs/inode.h src/vfs/filesystem.h
+  src/simos/process.h"
 hotpath_allow='abstract_sockets|partition_policy|partitions_|usage_by_user'
 for header in $hotpath_headers; do
   [ -f "$root/$header" ] || continue
