@@ -77,7 +77,8 @@ inline constexpr std::size_t kVantageCount = 9;
 [[nodiscard]] bool is_asset(Vantage v);
 
 /// Stable identity of a catalogue entry; the dynamic oracle dispatches
-/// its per-edge executors on this.
+/// its structural-hop executors on this (channel hops run the
+/// LeakageAuditor probe named by EdgeSpec::channel).
 enum class EdgeId : std::uint8_t {
   ssh_gate,
   colocation,

@@ -15,6 +15,15 @@
 //      severing knob landed on one of the clusters' traces during that
 //      hop's trace window.
 //
+// A hop whose EdgeSpec names a channel runs core::LeakageAuditor::probe
+// for that channel, with mallory as the observer: the same probe the §V
+// census, the decision oracle and `heus-lint --trace` use. Edges from
+// the victim's node probe that foothold node's /proc, /tmp, /dev/shm
+// and abstract sockets; the others probe from the victim's login node.
+// Only the six hops with no auditor twin have executors here: ssh_gate
+// (its shell is the vantage for the next hop), colocation, portal_auth
+// and the three fed_* hops.
+//
 // The standard run matrix covers hardened/hardened, baseline/baseline,
 // both asymmetric pairs (the enforcing side's verdict must win in both
 // directions), one single-knob ablation, and a partitioned WAN — which

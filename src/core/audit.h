@@ -8,7 +8,9 @@
 // (victim, observer) it actively exercises every channel the paper
 // discusses and reports open/closed, so experiments can count open
 // channels under baseline vs hardened policies and verify the residual
-// set matches the paper's list exactly.
+// set matches the paper's list exactly. It is the one place a channel is
+// exercised: analyze's path oracle runs the same probe() for every
+// channel hop of the escalation graph.
 #pragma once
 
 #include <array>
@@ -54,11 +56,22 @@ class LeakageAuditor {
  public:
   explicit LeakageAuditor(Cluster* cluster) : cluster_(cluster) {}
 
-  /// Probe every channel from `victim` toward `observer`. Probes create
-  /// and remove their own artifacts (files, listeners, jobs) and leave the
-  /// cluster state as they found it, modulo accounting records.
+  /// Probe every channel from `victim` toward `observer`, in
+  /// kAllChannels order. Around each probe the victim logs in, then the
+  /// observer (the order fixes the shells' pids the trace prints), and
+  /// both log out after it; `where` is the victim's login node.
   [[nodiscard]] std::vector<ChannelReport> audit_pair(Uid victim,
                                                       Uid observer);
+
+  /// Exercise one channel from `victim`'s session toward `observer`'s.
+  /// The caller owns both sessions: it logs them in before the call and
+  /// out after it. `where` is the node whose local surface the probe
+  /// uses — /proc, /tmp, /dev/shm and abstract sockets; the other
+  /// probes ignore it. A probe creates and removes its own artifacts
+  /// (files, listeners, jobs, portal sessions) and leaves the cluster
+  /// state as it found it, modulo accounting records.
+  [[nodiscard]] ChannelReport probe(ChannelKind kind, const Session& victim,
+                                    const Session& observer, NodeId where);
 
   [[nodiscard]] static std::size_t open_count(
       const std::vector<ChannelReport>& reports);
@@ -80,25 +93,6 @@ class LeakageAuditor {
                                          const std::vector<Uid>& victims);
 
  private:
-  ChannelReport probe_procfs_list(Uid victim, Uid observer);
-  ChannelReport probe_procfs_cmdline(Uid victim, Uid observer);
-  ChannelReport probe_scheduler_queue(Uid victim, Uid observer);
-  ChannelReport probe_scheduler_accounting(Uid victim, Uid observer);
-  ChannelReport probe_scheduler_usage(Uid victim, Uid observer);
-  ChannelReport probe_ssh_foreign_node(Uid victim, Uid observer);
-  ChannelReport probe_fs_home(Uid victim, Uid observer);
-  ChannelReport probe_fs_tmp(Uid victim, Uid observer, const char* base,
-                             ChannelKind kind);
-  ChannelReport probe_fs_tmp_names(Uid victim, Uid observer);
-  ChannelReport probe_fs_acl_grant(Uid victim, Uid observer);
-  ChannelReport probe_tcp(Uid victim, Uid observer);
-  ChannelReport probe_udp(Uid victim, Uid observer);
-  ChannelReport probe_abstract_uds(Uid victim, Uid observer);
-  ChannelReport probe_rdma_tcp(Uid victim, Uid observer);
-  ChannelReport probe_rdma_cm(Uid victim, Uid observer);
-  ChannelReport probe_portal(Uid victim, Uid observer);
-  ChannelReport probe_gpu_residue(Uid victim, Uid observer);
-
   Cluster* cluster_;
 };
 

@@ -3,6 +3,9 @@
 
 #include <gtest/gtest.h>
 
+#include <string>
+#include <utility>
+
 namespace heus::core {
 namespace {
 
@@ -89,18 +92,100 @@ TEST_F(AuditTest, ResidualSetMatchesPaperExactly) {
 }
 
 TEST_F(AuditTest, ProbesAreRepeatable) {
+  for (const SeparationPolicy& policy :
+       {SeparationPolicy::hardened(), SeparationPolicy::baseline()}) {
+    cluster = std::make_unique<Cluster>(audit_config(policy));
+    victim = *cluster->add_user("victim");
+    observer = *cluster->add_user("observer");
+    LeakageAuditor auditor(cluster.get());
+    auto first = auditor.audit_pair(victim, observer);
+    auto second = auditor.audit_pair(victim, observer);
+    ASSERT_EQ(first.size(), second.size());
+    for (std::size_t i = 0; i < first.size(); ++i) {
+      EXPECT_EQ(first[i].open, second[i].open)
+          << to_string(first[i].kind) << ": probe not idempotent";
+    }
+  }
+}
+
+TEST_F(AuditTest, AuditLeavesNothingBehind) {
+  const simos::Credentials root = simos::root_credentials();
+  const std::pair<const char*, SeparationPolicy> policies[] = {
+      {"baseline", SeparationPolicy::baseline()},
+      {"hardened", SeparationPolicy::hardened()}};
+  for (const auto& [name, policy] : policies) {
+    SCOPED_TRACE(name);
+    cluster = std::make_unique<Cluster>(audit_config(policy));
+    victim = *cluster->add_user("victim");
+    observer = *cluster->add_user("observer");
+    vfs::FileSystem& shared = cluster->shared_fs();
+    const std::string home = cluster->users().find_user(victim)->home;
+    const auto before = shared.stat(root, home);
+    ASSERT_TRUE(before);
+
+    LeakageAuditor auditor(cluster.get());
+    (void)auditor.audit_pair(victim, observer);
+
+    const auto after = shared.stat(root, home);
+    ASSERT_TRUE(after);
+    EXPECT_EQ(after->mode, before->mode) << "victim's home mode changed";
+    vfs::FileSystem& local =
+        cluster->node(cluster->login_nodes().front()).local_fs();
+    const std::pair<vfs::FileSystem*, std::string> dirs[] = {
+        {&local, "/tmp"}, {&local, "/dev/shm"}, {&shared, home}};
+    for (const auto& [fs, dir] : dirs) {
+      auto listing = fs->readdir(root, dir);
+      ASSERT_TRUE(listing) << dir;
+      for (const auto& e : *listing) {
+        EXPECT_NE(e.name.rfind("audit-", 0), 0u)
+            << "probe artifact left behind: " << dir << "/" << e.name;
+      }
+    }
+    EXPECT_EQ(cluster->scheduler().pending_count(), 0u);
+    EXPECT_EQ(cluster->scheduler().running_count(), 0u);
+    EXPECT_EQ(cluster->network().flow_count(), 0u);
+  }
+}
+
+TEST_F(AuditTest, ProbeListsProcessesOnTheNodeItIsGiven) {
+  // Under baseline the login node leaks too, so only the reported pid
+  // tells whether the probe looked where it was told to.
   cluster = std::make_unique<Cluster>(
-      audit_config(SeparationPolicy::hardened()));
+      audit_config(SeparationPolicy::baseline()));
   victim = *cluster->add_user("victim");
   observer = *cluster->add_user("observer");
-  LeakageAuditor auditor(cluster.get());
-  auto first = auditor.audit_pair(victim, observer);
-  auto second = auditor.audit_pair(victim, observer);
-  ASSERT_EQ(first.size(), second.size());
-  for (std::size_t i = 0; i < first.size(); ++i) {
-    EXPECT_EQ(first[i].open, second[i].open)
-        << to_string(first[i].kind) << ": probe not idempotent";
+  // Observer first, so the victim's login shell and its job's task do
+  // not share a pid number on their two nodes.
+  auto os = cluster->login(observer);
+  auto vs = cluster->login(victim);
+  ASSERT_TRUE(os && vs);
+  sched::JobSpec spec;
+  spec.name = "anchor";
+  spec.duration_ns = 3600 * common::kSecond;
+  auto job = cluster->submit(*vs, spec);
+  ASSERT_TRUE(job);
+  cluster->scheduler().step();
+  const sched::Job* j = cluster->scheduler().find_job(*job);
+  ASSERT_TRUE(j != nullptr && j->state == sched::JobState::running);
+  const NodeId n = j->allocations.front().node;
+  ASSERT_NE(n, vs->node);
+  Pid task{};
+  for (const auto& d :
+       cluster->node(n).procfs().snapshot(simos::root_credentials())) {
+    if (d.uid == victim && d.job == *job) task = d.pid;
   }
+  ASSERT_NE(task, Pid{});
+  ASSERT_NE(task, vs->shell);
+
+  LeakageAuditor auditor(cluster.get());
+  const ChannelReport rep =
+      auditor.probe(ChannelKind::procfs_process_list, *vs, *os, n);
+  EXPECT_TRUE(rep.open);
+  EXPECT_EQ(rep.detail,
+            "victim pid " + std::to_string(task.value()) + " listed");
+  (void)cluster->scheduler().cancel(vs->cred, *job);
+  cluster->logout(*vs);
+  cluster->logout(*os);
 }
 
 TEST_F(AuditTest, BlastRadiusContainedUnderHardening) {
