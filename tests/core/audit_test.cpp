@@ -183,9 +183,6 @@ TEST_F(AuditTest, ProbeListsProcessesOnTheNodeItIsGiven) {
   EXPECT_TRUE(rep.open);
   EXPECT_EQ(rep.detail,
             "victim pid " + std::to_string(task.value()) + " listed");
-  (void)cluster->scheduler().cancel(vs->cred, *job);
-  cluster->logout(*vs);
-  cluster->logout(*os);
 }
 
 TEST_F(AuditTest, BlastRadiusContainedUnderHardening) {
