@@ -450,6 +450,11 @@ ChannelReport probe_gpu_residue(Cluster& c, const Session& vs,
         }
         c.run_jobs();
       }
+      // Without an epilog scrub the secret is still resident. Clear it
+      // off the books: no Decision, and the returned cost is not charged
+      // to the clock.
+      gpu::GpuDevice& written = nd.gpus().at(g.value());
+      if (written.dirty()) (void)written.scrub();
     }
   }
   return rep;

@@ -144,6 +144,14 @@ TEST_F(AuditTest, AuditLeavesNothingBehind) {
     EXPECT_EQ(cluster->scheduler().pending_count(), 0u);
     EXPECT_EQ(cluster->scheduler().running_count(), 0u);
     EXPECT_EQ(cluster->network().flow_count(), 0u);
+    for (NodeId n : cluster->compute_nodes()) {
+      const gpu::GpuSet& gpus = cluster->node(n).gpus();
+      for (std::uint32_t g = 0; g < gpus.size(); ++g) {
+        EXPECT_FALSE(gpus.at(g).dirty())
+            << "GPU residue left on " << cluster->node(n).hostname()
+            << " gpu " << g;
+      }
+    }
   }
 }
 
