@@ -726,10 +726,7 @@ Result<Uid> Network::unix_connect_abstract(HostId h,
     trace_->record(obs::DecisionPoint::net_uninspected, obs::Outcome::allow,
                    cred.uid, cred.egid, it->second.uid,
                    obs::ChannelKind::abstract_uds, nullptr,
-                   [&](std::string& out) {
-                     out += '@';
-                     out += name;
-                   });
+                   [&](std::string& out) { out += name; });
   }
   return it->second.uid;
 }

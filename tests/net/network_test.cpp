@@ -174,11 +174,19 @@ TEST_F(NetworkTest, CrossUserFlowCensus) {
 }
 
 TEST_F(NetworkTest, AbstractSocketsAreUncheckedRendezvous) {
+  obs::DecisionTrace trace;
+  trace.set_enabled(true);
+  nw.set_trace(&trace);
   ASSERT_TRUE(nw.unix_listen_abstract(h1, a, "@hidden").ok());
   // No permission check whatsoever — the documented residual channel.
   auto peer = nw.unix_connect_abstract(h1, b, "@hidden");
   ASSERT_TRUE(peer.ok());
   EXPECT_EQ(*peer, alice);
+  // The trace still sees the cross-user connect, under the name as given.
+  const std::vector<obs::Decision> seen = trace.snapshot();
+  ASSERT_EQ(seen.size(), 1u);
+  EXPECT_EQ(seen[0].point, obs::DecisionPoint::net_uninspected);
+  EXPECT_EQ(seen[0].object, "@hidden");
   EXPECT_EQ(nw.unix_connect_abstract(h1, b, "@missing").error(),
             Errno::econnrefused);
   ASSERT_TRUE(nw.unix_close_abstract(h1, "@hidden").ok());
