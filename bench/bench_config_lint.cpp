@@ -7,7 +7,6 @@
 // pipeline has to be cheap at thousands of nodes. This experiment
 // measures the in-memory pipeline (emit → parse → drift + census) so
 // the numbers are about the analyzers, not the disk.
-#include <chrono>
 #include <cstdio>
 #include <string>
 #include <utility>
@@ -28,19 +27,6 @@ namespace {
 using common::Json;
 using namespace heus::analyze;
 using namespace heus::analyze::ingest;
-
-double elapsed_ns(std::chrono::steady_clock::time_point t0,
-                  std::chrono::steady_clock::time_point t1) {
-  return static_cast<double>(
-      std::chrono::duration_cast<std::chrono::nanoseconds>(t1 - t0)
-          .count());
-}
-
-std::string fmt_ns(double ns) {
-  if (ns >= 1e6) return common::strformat("%.2f ms", ns / 1e6);
-  if (ns >= 1e3) return common::strformat("%.2f us", ns / 1e3);
-  return common::strformat("%.0f ns", ns);
-}
 
 /// Deterministic spread of policies across the knob lattice: node i of a
 /// fleet gets policy_at(i * stride % size), so drift analysis sees
@@ -71,13 +57,13 @@ void run(Json& results) {
   constexpr std::size_t kPolicies = 512;
   std::size_t sink = 0;
 
-  const auto e0 = std::chrono::steady_clock::now();
-  for (std::size_t i = 0; i < kPolicies; ++i) {
-    sink += emit_artifacts(fleet_policy(i)).size();
-  }
-  const auto e1 = std::chrono::steady_clock::now();
-  const double emit_ns =
-      elapsed_ns(e0, e1) / static_cast<double>(kPolicies);
+  std::vector<EmittedArtifact> emitted;
+  const double emit_total_ns = fastest_ns(1, [&] {
+    for (std::size_t i = 0; i < kPolicies; ++i) {
+      emitted = emit_artifacts(fleet_policy(i));
+      sink += emitted.size();
+    }
+  });
 
   // Pre-render so the parse measurement excludes emission.
   std::vector<std::vector<std::pair<std::string, std::string>>> rendered;
@@ -85,24 +71,23 @@ void run(Json& results) {
   for (std::size_t i = 0; i < kPolicies; ++i) {
     rendered.push_back(render_node(fleet_policy(i)));
   }
-  const auto p0 = std::chrono::steady_clock::now();
-  for (std::size_t i = 0; i < kPolicies; ++i) {
-    const NodeSnapshot node = parse_node("n", rendered[i]);
-    sink += node.ingested.diagnostics.size();
-  }
-  const auto p1 = std::chrono::steady_clock::now();
-  const double parse_ns =
-      elapsed_ns(p0, p1) / static_cast<double>(kPolicies);
+  NodeSnapshot node;
+  const double parse_total_ns = fastest_ns(1, [&] {
+    for (std::size_t i = 0; i < kPolicies; ++i) {
+      node = parse_node("n", rendered[i]);
+      sink += node.ingested.diagnostics.size();
+    }
+  });
 
-  const auto r0 = std::chrono::steady_clock::now();
-  for (std::size_t i = 0; i < kPolicies; ++i) {
-    const NodeSnapshot node =
-        parse_node("n", render_node(fleet_policy(i)));
-    sink += node.ingested.policy == fleet_policy(i) ? 1 : 0;
-  }
-  const auto r1 = std::chrono::steady_clock::now();
-  const double roundtrip_ns =
-      elapsed_ns(r0, r1) / static_cast<double>(kPolicies);
+  const double roundtrip_total_ns = fastest_ns(1, [&] {
+    for (std::size_t i = 0; i < kPolicies; ++i) {
+      node = parse_node("n", render_node(fleet_policy(i)));
+      sink += node.ingested.policy == fleet_policy(i) ? 1 : 0;
+    }
+  });
+  const double emit_ns = emit_total_ns / kPolicies;
+  const double parse_ns = parse_total_ns / kPolicies;
+  const double roundtrip_ns = roundtrip_total_ns / kPolicies;
 
   Table stages({"per-node stage", "latency"});
   stages.add_row({"emit 6 artifacts", fmt_ns(emit_ns)});
@@ -150,10 +135,9 @@ void run(Json& results) {
       double total_ns = 0;
       for (int rep = 0; rep < reps; ++rep) {
         SiteSnapshot site = proto;  // review_site consumes the snapshot
-        const auto t0 = std::chrono::steady_clock::now();
-        const SiteReview review = review_site(std::move(site));
-        const auto t1 = std::chrono::steady_clock::now();
-        total_ns += elapsed_ns(t0, t1);
+        SiteReview review;
+        total_ns +=
+            fastest_ns(1, [&] { review = review_site(std::move(site)); });
         sink += review.drift.size() + review.unexpected_open_total();
       }
       const double per_site = total_ns / reps;

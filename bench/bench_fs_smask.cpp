@@ -1,12 +1,11 @@
 // E4 (paper §IV-C): smask + user-private groups prevent filesystem
 // sharing outside approved project groups, at negligible metadata cost.
 //
-// Measures: (a) real cost of create/chmod/permission-check with and
-// without the smask/ACL patches (google-benchmark) — the patches are pure
-// bit arithmetic, so the delta should be noise; (b) the sharing matrix:
-// which (actor, mode, policy) combinations leak to an outsider.
-#include <benchmark/benchmark.h>
-
+// Measures: (a) the sharing matrix: which (actor, mode, policy)
+// combinations leak to an outsider; (b) the wall-clock cost of
+// create/chmod with and without the smask/ACL patches — the patches are
+// pure bit arithmetic, so the delta should be noise — and of a project
+// member's read as the file's ACL grows.
 #include <memory>
 
 #include "bench/common/table.h"
@@ -41,78 +40,6 @@ struct FsWorld {
     (void)fs->chmod(root, "/home/alice", 0755);
   }
 };
-
-void BM_CreateUnlink(benchmark::State& state) {
-  const bool hardened = state.range(0) != 0;
-  FsWorld world(hardened ? FsPolicy::hardened() : FsPolicy::baseline());
-  std::size_t i = 0;
-  for (auto _ : state) {
-    const std::string path =
-        common::strformat("/home/alice/f%zu", i++);
-    benchmark::DoNotOptimize(world.fs->create(world.alice, path, 0644));
-    benchmark::DoNotOptimize(world.fs->unlink(world.alice, path));
-  }
-  state.SetLabel(hardened ? "smask-enforced" : "baseline");
-}
-
-BENCHMARK(BM_CreateUnlink)->Arg(0)->Arg(1);
-
-void BM_Chmod(benchmark::State& state) {
-  const bool hardened = state.range(0) != 0;
-  FsWorld world(hardened ? FsPolicy::hardened() : FsPolicy::baseline());
-  (void)world.fs->create(world.alice, "/home/alice/f", 0644);
-  unsigned mode = 0600;
-  for (auto _ : state) {
-    mode ^= 0066;
-    benchmark::DoNotOptimize(
-        world.fs->chmod(world.alice, "/home/alice/f", mode));
-  }
-  state.SetLabel(hardened ? "smask-enforced" : "baseline");
-}
-
-BENCHMARK(BM_Chmod)->Arg(0)->Arg(1);
-
-void BM_PermissionCheckDeepPath(benchmark::State& state) {
-  const bool hardened = state.range(0) != 0;
-  FsWorld world(hardened ? FsPolicy::hardened() : FsPolicy::baseline());
-  std::string dir = "/home/alice";
-  for (int depth = 0; depth < 8; ++depth) {
-    dir += "/d";
-    (void)world.fs->mkdir(world.alice, dir, 0755);
-  }
-  const std::string file = dir + "/leaf";
-  (void)world.fs->write_file(world.alice, file, "x");
-  for (auto _ : state) {
-    benchmark::DoNotOptimize(world.fs->read_file(world.alice, file));
-  }
-  state.SetLabel(hardened ? "smask-enforced" : "baseline");
-}
-
-BENCHMARK(BM_PermissionCheckDeepPath)->Arg(0)->Arg(1);
-
-void BM_AclEvaluation(benchmark::State& state) {
-  const auto n_entries = static_cast<std::size_t>(state.range(0));
-  FsWorld world(FsPolicy::hardened());
-  (void)world.fs->write_file(world.alice, "/home/alice/f", "x");
-  (void)world.fs->chmod(world.alice, "/home/alice/f", 0600);
-  // Root installs n group entries (stand-in for a busy project ACL).
-  for (std::size_t i = 0; i < n_entries; ++i) {
-    const Gid g = *world.db.create_project_group(
-        common::strformat("g%zu", i), world.alice.uid);
-    (void)world.fs->acl_set(world.root, "/home/alice/f",
-                            vfs::AclEntry{vfs::AclTag::named_group,
-                                          Uid{}, g, vfs::kPermRead});
-  }
-  (void)world.fs->acl_set(world.alice, "/home/alice/f",
-                          vfs::AclEntry{vfs::AclTag::named_group, Uid{},
-                                        world.proj, vfs::kPermRead});
-  for (auto _ : state) {
-    benchmark::DoNotOptimize(world.fs->read_file(world.bob,
-                                                 "/home/alice/f"));
-  }
-}
-
-BENCHMARK(BM_AclEvaluation)->Arg(0)->Arg(4)->Arg(16)->Arg(64);
 
 void sharing_matrix() {
   print_banner(
@@ -159,13 +86,82 @@ void sharing_matrix() {
   table.print();
 }
 
+bool timing_report() {
+  print_banner("E4 timing: metadata calls (wall clock)",
+               "Per call, fastest of 5 windows. The owner creates, unlinks "
+               "and chmods in the home directory; a project member reads a "
+               "file whose ACL holds n other group entries.");
+  constexpr std::size_t kCreates = 2000, kChmods = 16384, kReads = 12000;
+  Table table({"call", "policy", "per call"});
+  bool ok = true;
+  for (const bool hardened : {false, true}) {
+    FsWorld world(hardened ? FsPolicy::hardened() : FsPolicy::baseline());
+    const char* policy = hardened ? "hardened" : "baseline";
+    Result<void> created, removed;
+    std::size_t done = 0;
+    const double create_ns = fastest_ns(kWindows, [&] {
+      done = 0;
+      for (std::size_t i = 0; i < kCreates; ++i) {
+        const std::string path = common::strformat("/home/alice/f%zu", i);
+        created = world.fs->create(world.alice, path, 0644);
+        removed = world.fs->unlink(world.alice, path);
+        done += created.ok() && removed.ok() ? 1 : 0;
+      }
+    });
+    ok &= check_count("E4 create+unlink", done, kCreates);
+    table.add_row({"create+unlink", policy, fmt_ns(create_ns / kCreates)});
+
+    (void)world.fs->create(world.alice, "/home/alice/f", 0644);
+    Result<void> changed;
+    unsigned mode = 0600;
+    const double chmod_ns = fastest_ns(kWindows, [&] {
+      done = 0;
+      for (std::size_t i = 0; i < kChmods; ++i) {
+        mode ^= 0066;
+        changed = world.fs->chmod(world.alice, "/home/alice/f", mode);
+        done += changed.ok() ? 1 : 0;
+      }
+    });
+    ok &= check_count("E4 chmod", done, kChmods);
+    table.add_row({"chmod", policy, fmt_ns(chmod_ns / kChmods)});
+  }
+
+  for (const std::size_t n : {0, 4, 16, 64}) {
+    FsWorld world(FsPolicy::hardened());
+    (void)world.fs->write_file(world.alice, "/home/alice/f", "x");
+    (void)world.fs->chmod(world.alice, "/home/alice/f", 0600);
+    // Root installs n group entries (stand-in for a busy project ACL).
+    for (std::size_t i = 0; i < n; ++i) {
+      const Gid g = *world.db.create_project_group(
+          common::strformat("g%zu", i), world.alice.uid);
+      (void)world.fs->acl_set(world.root, "/home/alice/f",
+                              vfs::AclEntry{vfs::AclTag::named_group,
+                                            Uid{}, g, vfs::kPermRead});
+    }
+    (void)world.fs->acl_set(world.alice, "/home/alice/f",
+                            vfs::AclEntry{vfs::AclTag::named_group, Uid{},
+                                          world.proj, vfs::kPermRead});
+    Result<std::string> data = Errno::eacces;
+    std::size_t reads = 0;
+    const double ns = fastest_ns(kWindows, [&] {
+      reads = 0;
+      for (std::size_t i = 0; i < kReads; ++i) {
+        data = world.fs->read_file(world.bob, "/home/alice/f");
+        reads += data.ok() ? 1 : 0;
+      }
+    });
+    ok &= check_count("E4 member reads", reads, kReads);
+    table.add_row({common::strformat("member read, %zu ACL entries", n),
+                   "hardened", fmt_ns(ns / kReads)});
+  }
+  table.print();
+  return ok;
+}
+
 }  // namespace
 }  // namespace heus::bench
 
-int main(int argc, char** argv) {
-  benchmark::Initialize(&argc, argv);
-  benchmark::RunSpecifiedBenchmarks();
-  benchmark::Shutdown();
+int main() {
   heus::bench::sharing_matrix();
-  return 0;
+  return heus::bench::timing_report() ? 0 : 1;
 }

@@ -4,8 +4,6 @@
 // previous tenant's device memory (probability ~1 whenever users
 // alternate); the epilog scrub closes the channel at a cost linear in
 // device memory, charged between jobs (never on the compute path).
-#include <benchmark/benchmark.h>
-
 #include "bench/common/table.h"
 #include "common/rng.h"
 #include "common/strings.h"
@@ -13,28 +11,6 @@
 
 namespace heus::bench {
 namespace {
-
-// One full-device tenant cycle per iteration: the tenant writes every byte,
-// then the epilog scrub discards them. The device stores only its written
-// extent, so scrubbing a device nobody wrote would time nothing.
-void BM_ScrubThroughput(benchmark::State& state) {
-  const auto mem = static_cast<std::size_t>(state.range(0));
-  gpu::GpuDevice dev(GpuId{0}, mem);
-  const std::string tensor(mem, 'x');
-  for (auto _ : state) {
-    benchmark::DoNotOptimize(dev.write(Uid{1000}, 0, tensor));
-    benchmark::DoNotOptimize(dev.scrub());
-    benchmark::ClobberMemory();
-  }
-  state.SetBytesProcessed(static_cast<std::int64_t>(state.iterations()) *
-                          static_cast<std::int64_t>(mem));
-}
-
-BENCHMARK(BM_ScrubThroughput)
-    ->Arg(1 << 20)
-    ->Arg(16 << 20)
-    ->Arg(64 << 20)
-    ->Unit(benchmark::kMillisecond);
 
 void residue_experiment() {
   print_banner(
@@ -104,14 +80,46 @@ void scrub_cost_model() {
   table.print();
 }
 
+// One full-device tenant cycle per call: the tenant writes every byte,
+// then the epilog scrub discards them. The device stores only its written
+// extent, so scrubbing a device nobody wrote would time nothing.
+bool timing_report() {
+  print_banner("E7 timing: full-device write + scrub (wall clock)",
+               "Host copy bandwidth of one tenant cycle; fastest of 5 "
+               "windows of 64 MiB each.");
+  constexpr std::size_t kBytesPerWindow = 64 << 20;
+  Table table({"device memory", "per cycle", "GB/s"});
+  bool ok = true;
+  for (const std::size_t mem : {1 << 20, 16 << 20, 64 << 20}) {
+    gpu::GpuDevice dev(GpuId{0}, mem);
+    const std::string tensor(mem, 'x');
+    const std::size_t cycles = kBytesPerWindow / mem;
+    Result<void> written;
+    std::int64_t scrub_ns = 0;
+    std::size_t clean = 0;
+    const double ns = fastest_ns(kWindows, [&] {
+      clean = 0;
+      for (std::size_t i = 0; i < cycles; ++i) {
+        written = dev.write(Uid{1000}, 0, tensor);
+        scrub_ns = dev.scrub();
+        clean += written.ok() && scrub_ns > 0 && !dev.dirty() ? 1 : 0;
+      }
+    });
+    ok &= check_count("E7 write+scrub cycles", clean, cycles);
+    const double bytes = static_cast<double>(kBytesPerWindow);
+    table.add_row({common::strformat("%zu MiB", mem >> 20),
+                   fmt_ns(ns / static_cast<double>(cycles)),
+                   common::strformat("%.1f", bytes / ns)});
+  }
+  table.print();
+  return ok;
+}
+
 }  // namespace
 }  // namespace heus::bench
 
-int main(int argc, char** argv) {
-  benchmark::Initialize(&argc, argv);
-  benchmark::RunSpecifiedBenchmarks();
-  benchmark::Shutdown();
+int main() {
   heus::bench::residue_experiment();
   heus::bench::scrub_cost_model();
-  return 0;
+  return heus::bench::timing_report() ? 0 : 1;
 }

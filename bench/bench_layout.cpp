@@ -23,7 +23,6 @@
 //
 // Always writes BENCH_E26.json (override with --json=PATH); --smoke runs
 // reduced sizes for CI.
-#include <chrono>
 #include <cstddef>
 #include <cstdint>
 #include <cstdio>
@@ -81,7 +80,7 @@ using common::kSecond;
 struct Window {
   std::uint64_t allocs = 0;
   std::uint64_t bytes = 0;
-  std::int64_t wall_ns = 0;
+  double wall_ns = 0;
 };
 
 template <typename Fn>
@@ -89,16 +88,9 @@ Window measure(Fn&& fn) {
   g_allocs = 0;
   g_bytes = 0;
   g_counting = true;
-  const auto t0 = std::chrono::steady_clock::now();
-  fn();
-  const auto t1 = std::chrono::steady_clock::now();
+  const double wall_ns = fastest_ns(1, fn);
   g_counting = false;
-  Window w;
-  w.allocs = g_allocs;
-  w.bytes = g_bytes;
-  w.wall_ns =
-      std::chrono::duration_cast<std::chrono::nanoseconds>(t1 - t0).count();
-  return w;
+  return Window{g_allocs, g_bytes, wall_ns};
 }
 
 net::LatencyModel zero_latency() {
@@ -177,15 +169,14 @@ void flow_churn_section(Json& results, bool smoke) {
        std::to_string(w.bytes),
        common::strformat("%.1f", static_cast<double>(w.bytes) /
                                      static_cast<double>(ops)),
-       common::strformat("%.1f", static_cast<double>(w.wall_ns) /
-                                     static_cast<double>(ops))});
+       common::strformat("%.1f", w.wall_ns / static_cast<double>(ops))});
   table.print();
 
   results.set("flow_churn_ops", ops);
   results.set("alloc_flow_churn_allocs", w.allocs);
   results.set("alloc_flow_churn_bytes", w.bytes);
   results.set("flow_churn_wall_ns_per_op",
-              static_cast<double>(w.wall_ns) / static_cast<double>(ops));
+              w.wall_ns / static_cast<double>(ops));
 }
 
 // ---------------------------------------------------------------------------
@@ -276,8 +267,8 @@ void placement_section(Json& results, bool smoke) {
        common::strformat("%.3f", static_cast<double>(w.allocs) /
                                      static_cast<double>(attempts)),
        std::to_string(w.bytes),
-       common::strformat("%.1f", static_cast<double>(w.wall_ns) /
-                                     static_cast<double>(attempts))});
+       common::strformat("%.1f",
+                         w.wall_ns / static_cast<double>(attempts))});
   table.print();
 
   results.set("placement_nodes", nodes);
@@ -287,7 +278,7 @@ void placement_section(Json& results, bool smoke) {
   results.set("alloc_placement_allocs", w.allocs);
   results.set("alloc_placement_bytes", w.bytes);
   results.set("placement_wall_ns_per_attempt",
-              static_cast<double>(w.wall_ns) / static_cast<double>(attempts));
+              w.wall_ns / static_cast<double>(attempts));
 }
 
 // ---------------------------------------------------------------------------
@@ -468,9 +459,8 @@ void session_section(Json& results, bool smoke) {
         static_cast<double>(p.w.allocs) / static_cast<double>(calls);
     table.add_row({p.op, std::to_string(calls), std::to_string(p.w.allocs),
                    common::strformat("%.4f", allocs_per_call),
-                   common::strformat("%.1f",
-                                     static_cast<double>(p.w.wall_ns) /
-                                         static_cast<double>(calls))});
+                   common::strformat("%.1f", p.w.wall_ns /
+                                                 static_cast<double>(calls))});
     results.set(p.key, allocs_per_call);
   }
   table.print();

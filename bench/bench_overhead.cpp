@@ -5,9 +5,7 @@
 // here sits on control paths (connection setup, job start/end, metadata)
 // or is a pure view filter. This harness runs identical end-to-end
 // workloads on baseline and hardened clusters and reports the hot-path
-// cost deltas, real and simulated.
-#include <benchmark/benchmark.h>
-
+// cost deltas, simulated and then real.
 #include "bench/common/table.h"
 #include "common/strings.h"
 #include "core/cluster.h"
@@ -30,74 +28,6 @@ ClusterConfig config(SeparationPolicy policy) {
   cfg.policy = policy;
   return cfg;
 }
-
-// Real (wall-clock) hot-path microbenchmarks, baseline vs hardened.
-
-void BM_FsWriteRead(benchmark::State& state) {
-  const bool hardened = state.range(0) != 0;
-  Cluster cluster(config(hardened ? SeparationPolicy::hardened()
-                                  : SeparationPolicy::baseline()));
-  const Uid alice = *cluster.add_user("alice");
-  auto a = *simos::login(cluster.users(), alice);
-  std::string payload(4096, 'd');
-  for (auto _ : state) {
-    benchmark::DoNotOptimize(cluster.shared_fs().write_file(
-        a, "/home/alice/hot.dat", payload));
-    benchmark::DoNotOptimize(
-        cluster.shared_fs().read_file(a, "/home/alice/hot.dat"));
-  }
-  state.SetLabel(hardened ? "hardened" : "baseline");
-}
-
-BENCHMARK(BM_FsWriteRead)->Arg(0)->Arg(1);
-
-void BM_EstablishedFlowSend(benchmark::State& state) {
-  const bool hardened = state.range(0) != 0;
-  Cluster cluster(config(hardened ? SeparationPolicy::hardened()
-                                  : SeparationPolicy::baseline()));
-  const Uid alice = *cluster.add_user("alice");
-  auto session = *cluster.login(alice);
-  const HostId h0 = cluster.node(cluster.compute_nodes()[0]).host();
-  const HostId login = cluster.node(session.node).host();
-  // alice needs a job on the compute node for realism; listener there.
-  sched::JobSpec spec;
-  spec.duration_ns = 3600 * kSecond;
-  auto job = cluster.submit(session, spec);
-  cluster.scheduler().step();
-  (void)job;
-  (void)cluster.network().listen(h0, session.cred, session.shell,
-                                 net::Proto::tcp, 9000);
-  auto flow = cluster.network().connect(login, session.cred,
-                                        session.shell, h0, net::Proto::tcp,
-                                        9000);
-  std::string payload(1024, 'p');
-  for (auto _ : state) {
-    benchmark::DoNotOptimize(cluster.network().send(
-        *flow, net::FlowEnd::client, payload));
-    (void)cluster.network().recv(*flow, net::FlowEnd::server);
-  }
-  state.SetLabel(hardened ? "hardened (UBF attached)" : "baseline");
-}
-
-BENCHMARK(BM_EstablishedFlowSend)->Arg(0)->Arg(1);
-
-void BM_ProcfsOwnProcesses(benchmark::State& state) {
-  const bool hardened = state.range(0) != 0;
-  Cluster cluster(config(hardened ? SeparationPolicy::hardened()
-                                  : SeparationPolicy::baseline()));
-  const Uid alice = *cluster.add_user("alice");
-  auto session = *cluster.login(alice);
-  core::Node& node = cluster.node(session.node);
-  for (int i = 0; i < 64; ++i) {
-    node.procs().spawn(session.cred, common::strformat("worker-%d", i));
-  }
-  for (auto _ : state) {
-    benchmark::DoNotOptimize(node.procfs().snapshot(session.cred));
-  }
-  state.SetLabel(hardened ? "hardened (hidepid=2)" : "baseline");
-}
-
-BENCHMARK(BM_ProcfsOwnProcesses)->Arg(0)->Arg(1);
 
 // Simulated end-to-end job throughput: same workload, both policies.
 
@@ -200,13 +130,95 @@ void throughput_report() {
       "deployable on an HPC system.\n");
 }
 
+// Real (wall-clock) hot paths, baseline vs hardened: a 4 KiB file write
+// and read-back, one 1 KiB send+recv on an established login-to-compute
+// flow, and a procfs scan by a user running 64 processes on the node.
+bool timing_report() {
+  print_banner("E12 timing: data-path calls (wall clock)",
+               "Per call, fastest of 5 windows; same workload on both "
+               "clusters.");
+  constexpr std::size_t kFsCalls = 4000, kSends = 20000, kScans = 512;
+  Table table({"call", "baseline", "hardened"});
+  std::vector<std::string> fs_row{"fs write+read (4 KiB)"},
+      send_row{"established send+recv (1 KiB)"},
+      scan_row{"own-procfs scan (65 procs)"};
+  bool ok = true;
+  for (const bool hardened : {false, true}) {
+    Cluster cluster(config(hardened ? SeparationPolicy::hardened()
+                                    : SeparationPolicy::baseline()));
+    const Uid alice = *cluster.add_user("alice");
+    auto session = *cluster.login(alice);
+
+    const std::string data(4096, 'd');
+    Result<void> written;
+    Result<std::string> read = Errno::enoent;
+    std::size_t done = 0;
+    const double fs_ns = fastest_ns(kWindows, [&] {
+      done = 0;
+      for (std::size_t i = 0; i < kFsCalls; ++i) {
+        written = cluster.shared_fs().write_file(session.cred,
+                                                 "/home/alice/hot.dat", data);
+        read = cluster.shared_fs().read_file(session.cred,
+                                             "/home/alice/hot.dat");
+        done += written.ok() && read.ok() && read->size() == 4096 ? 1 : 0;
+      }
+    });
+    ok &= check_count("E12 fs write+read", done, kFsCalls);
+    fs_row.push_back(fmt_ns(fs_ns / kFsCalls));
+
+    // alice needs a job on the compute node for realism; listener there.
+    const HostId h0 = cluster.node(cluster.compute_nodes()[0]).host();
+    sched::JobSpec spec;
+    spec.duration_ns = 3600 * kSecond;
+    (void)cluster.submit(session, spec);
+    cluster.scheduler().step();
+    (void)cluster.network().listen(h0, session.cred, session.shell,
+                                   net::Proto::tcp, 9000);
+    auto flow = cluster.network().connect(cluster.node(session.node).host(),
+                                          session.cred, session.shell, h0,
+                                          net::Proto::tcp, 9000);
+    const std::string payload(1024, 'p');
+    Result<void> sent;
+    Result<std::string> got = Errno::enoent;
+    const double send_ns = fastest_ns(kWindows, [&] {
+      done = 0;
+      for (std::size_t i = 0; i < kSends; ++i) {
+        sent = cluster.network().send(*flow, net::FlowEnd::client, payload);
+        got = cluster.network().recv(*flow, net::FlowEnd::server);
+        done += sent.ok() && got.ok() && got->size() == 1024 ? 1 : 0;
+      }
+    });
+    ok &= check_count("E12 send+recv", done, kSends);
+    send_row.push_back(fmt_ns(send_ns / kSends));
+
+    core::Node& node = cluster.node(session.node);
+    for (int i = 0; i < 64; ++i) {
+      node.procs().spawn(session.cred, common::strformat("worker-%d", i));
+    }
+    const std::size_t visible =
+        hardened ? node.procs().pids_of(alice).size() : node.procs().count();
+    std::vector<simos::ProcDetails> snapshot;
+    const double scan_ns = fastest_ns(kWindows, [&] {
+      done = 0;
+      for (std::size_t i = 0; i < kScans; ++i) {
+        snapshot = node.procfs().snapshot(session.cred);
+        done += snapshot.size();
+      }
+    });
+    ok &= check_count("E12 procfs scan rows", done, kScans * visible);
+    scan_row.push_back(fmt_ns(scan_ns / kScans));
+  }
+  table.add_row(std::move(fs_row));
+  table.add_row(std::move(send_row));
+  table.add_row(std::move(scan_row));
+  table.print();
+  return ok;
+}
+
 }  // namespace
 }  // namespace heus::bench
 
-int main(int argc, char** argv) {
-  benchmark::Initialize(&argc, argv);
-  benchmark::RunSpecifiedBenchmarks();
-  benchmark::Shutdown();
+int main() {
   heus::bench::throughput_report();
-  return 0;
+  return heus::bench::timing_report() ? 0 : 1;
 }

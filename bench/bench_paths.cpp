@@ -13,7 +13,6 @@
 //
 // Always writes BENCH_E24.json (override with --json=PATH); --smoke runs
 // fewer repetitions for CI.
-#include <chrono>
 #include <cstdio>
 #include <string>
 #include <vector>
@@ -36,14 +35,6 @@ using analyze::ClusterSpec;
 using analyze::PathAnalyzer;
 using analyze::PathReport;
 using common::Json;
-
-double elapsed_ms(std::chrono::steady_clock::time_point t0,
-                  std::chrono::steady_clock::time_point t1) {
-  return static_cast<double>(
-             std::chrono::duration_cast<std::chrono::microseconds>(t1 - t0)
-                 .count()) /
-         1000.0;
-}
 
 void run(Json& results, bool smoke) {
   print_banner(
@@ -72,27 +63,18 @@ void run(Json& results, bool smoke) {
   for (const PolicyCase& pc : cases) {
     const std::vector<ClusterSpec> members = {{"a", pc.policy},
                                               {"b", pc.policy}};
-    double best_ms = 0;
-    std::size_t present = 0;
-    std::size_t paths = 0;
-    std::size_t escalation = 0;
     ChannelGraph graph;
-    for (int rep = 0; rep < reps; ++rep) {
-      const auto t0 = std::chrono::steady_clock::now();
+    std::vector<AttackPath> found;
+    const double best_ms = fastest_ns(reps, [&] {
       graph = ChannelGraph::build(members, analyzer.principal(),
                                   analyzer.facts());
-      const std::vector<AttackPath> found =
-          PathAnalyzer::enumerate(graph);
-      const auto t1 = std::chrono::steady_clock::now();
-      const double ms = elapsed_ms(t0, t1);
-      if (rep == 0 || ms < best_ms) best_ms = ms;
-      present = 0;
-      for (const auto& e : graph.edges()) present += e.present ? 1 : 0;
-      paths = found.size();
-      escalation = 0;
-      for (const AttackPath& p : found)
-        escalation += p.has_open_hop ? 1 : 0;
-    }
+      found = PathAnalyzer::enumerate(graph);
+    }) / 1e6;
+    std::size_t present = 0;
+    for (const auto& e : graph.edges()) present += e.present ? 1 : 0;
+    const std::size_t paths = found.size();
+    std::size_t escalation = 0;
+    for (const AttackPath& p : found) escalation += p.has_open_hop ? 1 : 0;
     per_policy.add_row({pc.name,
                         common::strformat("%zu", graph.nodes().size()),
                         common::strformat("%zu", graph.edges().size()),
@@ -114,15 +96,9 @@ void run(Json& results, bool smoke) {
   results.set("policies_analyzed", std::move(policy_series));
 
   // Stage 2: the exhaustive lattice sweep, as the gate runs it.
-  double sweep_ms = 0;
   analyze::LatticeSweep sweep;
-  for (int rep = 0; rep < reps; ++rep) {
-    const auto t0 = std::chrono::steady_clock::now();
-    sweep = analyzer.sweep();
-    const auto t1 = std::chrono::steady_clock::now();
-    const double ms = elapsed_ms(t0, t1);
-    if (rep == 0 || ms < sweep_ms) sweep_ms = ms;
-  }
+  const double sweep_ms =
+      fastest_ns(reps, [&] { sweep = analyzer.sweep(); }) / 1e6;
   std::printf("\nlattice sweep: %zu policies -> %zu behaviour classes in "
               "%.2f ms — %zu with escalation, hardened admits %zu, worst "
               "point admits %zu\n",
@@ -136,15 +112,9 @@ void run(Json& results, bool smoke) {
   results.set("sweep_ms", sweep_ms);
 
   // Stage 3: the hardened mutation sweep (one ablation per knob).
-  double mutation_ms = 0;
   std::vector<analyze::MutationFinding> mutations;
-  for (int rep = 0; rep < reps; ++rep) {
-    const auto t0 = std::chrono::steady_clock::now();
-    mutations = analyzer.mutation_sweep();
-    const auto t1 = std::chrono::steady_clock::now();
-    const double ms = elapsed_ms(t0, t1);
-    if (rep == 0 || ms < mutation_ms) mutation_ms = ms;
-  }
+  const double mutation_ms =
+      fastest_ns(reps, [&] { mutations = analyzer.mutation_sweep(); }) / 1e6;
   std::size_t flagged = 0;
   for (const auto& m : mutations) flagged += m.escalation_paths > 0;
   std::printf("mutation sweep: %zu ablations (%zu flagged) in %.2f ms\n",
@@ -163,15 +133,10 @@ void run(Json& results, bool smoke) {
   std::vector<AttackPath> baseline_escalation;
   for (AttackPath& p : PathAnalyzer::enumerate(baseline_graph))
     if (p.has_open_hop) baseline_escalation.push_back(std::move(p));
-  double cut_ms = 0;
   std::vector<std::string> cut;
-  for (int rep = 0; rep < reps; ++rep) {
-    const auto t0 = std::chrono::steady_clock::now();
+  const double cut_ms = fastest_ns(reps, [&] {
     cut = analyzer.minimal_cut(baseline_members, baseline_escalation);
-    const auto t1 = std::chrono::steady_clock::now();
-    const double ms = elapsed_ms(t0, t1);
-    if (rep == 0 || ms < cut_ms) cut_ms = ms;
-  }
+  }) / 1e6;
   std::printf("baseline minimal cut: %zu paths severed by %zu knob(s) in "
               "%.2f ms\n",
               baseline_escalation.size(), cut.size(), cut_ms);
@@ -181,14 +146,9 @@ void run(Json& results, bool smoke) {
 
   // Stage 5: the dead-knob lint (runs a live enforcement census, so it
   // dominates the static side — priced here so CI regressions show up).
-  double lint_ms = 0;
   analyze::KnobLintReport lint;
-  {
-    const auto t0 = std::chrono::steady_clock::now();
-    lint = analyze::knob_lint();
-    const auto t1 = std::chrono::steady_clock::now();
-    lint_ms = elapsed_ms(t0, t1);
-  }
+  const double lint_ms =
+      fastest_ns(1, [&] { lint = analyze::knob_lint(); }) / 1e6;
   std::printf("dead-knob lint: %zu knobs, %zu finding(s) in %.2f ms\n",
               lint.knobs.size(), lint.findings.size(), lint_ms);
   results.set("lint_knobs", lint.knobs.size());
@@ -197,18 +157,13 @@ void run(Json& results, bool smoke) {
 
   // Stage 6: one healthy hardened/hardened oracle run — the dynamic
   // price of one differential confirmation of the static claims.
-  double oracle_ms = 0;
+  analyze::OracleOptions opts;
+  opts.policy_a = core::SeparationPolicy::hardened();
+  opts.policy_b = core::SeparationPolicy::hardened();
+  opts.label = "bench hardened/hardened";
   analyze::OracleRun oracle;
-  {
-    analyze::OracleOptions opts;
-    opts.policy_a = core::SeparationPolicy::hardened();
-    opts.policy_b = core::SeparationPolicy::hardened();
-    opts.label = "bench hardened/hardened";
-    const auto t0 = std::chrono::steady_clock::now();
-    oracle = analyze::run_path_oracle(opts);
-    const auto t1 = std::chrono::steady_clock::now();
-    oracle_ms = elapsed_ms(t0, t1);
-  }
+  const double oracle_ms =
+      fastest_ns(1, [&] { oracle = analyze::run_path_oracle(opts); }) / 1e6;
   std::printf("oracle run: %zu path trials (%zu multi-hop, %zu "
               "cross-cluster), %zu agreed, in %.2f ms\n",
               oracle.trials.size(), oracle.multi_hop_count,

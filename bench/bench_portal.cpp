@@ -4,8 +4,6 @@
 // partition and reached through the portal (no dedicated web partition);
 // the whole path is authenticated (portal login) and authorized (UBF on
 // the forwarded hop); the forwarding adds one fabric hop of overhead.
-#include <benchmark/benchmark.h>
-
 #include "bench/common/table.h"
 #include "common/strings.h"
 #include "core/cluster.h"
@@ -126,35 +124,10 @@ void forwarding_overhead() {
   table.print();
 }
 
-void BM_PortalRequest(benchmark::State& state) {
-  Cluster cluster(portal_config(SeparationPolicy::hardened()));
-  const Uid alice = *cluster.add_user("alice");
-  auto as = *cluster.login(alice);
-  sched::JobSpec spec;
-  spec.interactive = true;
-  spec.duration_ns = 3600 * kSecond;
-  auto job = cluster.submit(as, spec);
-  cluster.scheduler().step();
-  const NodeId jn = cluster.scheduler().find_job(*job)->allocations[0].node;
-  auto app = cluster.portal().register_app(
-      as.cred, as.shell, *job, cluster.node(jn).host(), 8888, "nb",
-      [](const std::string&) { return std::string("ok"); });
-  auto token = *cluster.portal().login(as.cred);
-  for (auto _ : state) {
-    benchmark::DoNotOptimize(
-        cluster.portal().request(token, *app, "GET /"));
-  }
-}
-
-BENCHMARK(BM_PortalRequest)->Unit(benchmark::kMicrosecond);
-
 }  // namespace
 }  // namespace heus::bench
 
-int main(int argc, char** argv) {
-  benchmark::Initialize(&argc, argv);
-  benchmark::RunSpecifiedBenchmarks();
-  benchmark::Shutdown();
+int main() {
   heus::bench::any_node_report();
   heus::bench::forwarding_overhead();
   return 0;

@@ -1,11 +1,9 @@
 // E1 (paper §IV-A): hidepid closes the process-information channel, with
 // negligible cost, and seepid restores visibility for whitelisted staff.
 //
-// Measures: (a) real wall-clock cost of a full `ps aux`-style procfs scan
-// at various process counts under hidepid 0/1/2 (google-benchmark), and
-// (b) how many foreign processes each reader class observes.
-#include <benchmark/benchmark.h>
-
+// Measures: (a) how many foreign processes each reader class observes,
+// and (b) the wall-clock cost of a full `ps aux`-style procfs scan of
+// 4,096 processes and of one own-pid stat under hidepid 0/1/2.
 #include "bench/common/table.h"
 #include "common/strings.h"
 #include "simos/procfs.h"
@@ -35,42 +33,6 @@ struct ProcWorld {
     }
   }
 };
-
-void BM_ProcfsScan(benchmark::State& state) {
-  const auto n_procs = static_cast<std::size_t>(state.range(0));
-  const auto mode = static_cast<HidepidMode>(state.range(1));
-  ProcWorld world(/*n_users=*/16, n_procs);
-  simos::ProcFs procfs(&world.table,
-                       simos::ProcMountOptions{mode, world.exempt});
-  const Credentials& reader = world.users[0];
-  for (auto _ : state) {
-    auto snapshot = procfs.snapshot(reader);
-    benchmark::DoNotOptimize(snapshot);
-  }
-  state.SetLabel(common::strformat(
-      "hidepid=%d procs=%zu", static_cast<int>(mode), n_procs));
-}
-
-BENCHMARK(BM_ProcfsScan)
-    ->ArgsProduct({{256, 1024, 4096},
-                   {0, 1, 2}})
-    ->Unit(benchmark::kMicrosecond);
-
-void BM_ProcfsStatSingle(benchmark::State& state) {
-  const auto mode = static_cast<HidepidMode>(state.range(0));
-  ProcWorld world(16, 1024);
-  simos::ProcFs procfs(&world.table,
-                       simos::ProcMountOptions{mode, world.exempt});
-  const Credentials& reader = world.users[0];
-  const Pid own = world.table.pids_of(reader.uid).front();
-  for (auto _ : state) {
-    auto st = procfs.stat(reader, own);
-    benchmark::DoNotOptimize(st);
-  }
-  state.SetLabel(common::strformat("hidepid=%d", static_cast<int>(mode)));
-}
-
-BENCHMARK(BM_ProcfsStatSingle)->Arg(0)->Arg(1)->Arg(2);
 
 void visibility_report() {
   print_banner(
@@ -114,13 +76,54 @@ void visibility_report() {
   table.print();
 }
 
+bool timing_report() {
+  print_banner("E1 timing: procfs calls of an ordinary user (wall clock)",
+               "16 users x 4096 processes; per call, fastest of 5 windows.");
+  constexpr std::size_t kProcs = 4096, kUsers = 16;
+  constexpr std::size_t kScans = 64, kStats = 65536;
+  ProcWorld world(kUsers, kProcs);
+  const Credentials& reader = world.users[0];
+  const Pid own = world.table.pids_of(reader.uid).front();
+
+  Table table({"hidepid", "full scan", "own-pid stat"});
+  bool ok = true;
+  for (auto mode : {HidepidMode::off, HidepidMode::restrict_contents,
+                    HidepidMode::invisible}) {
+    simos::ProcFs procfs(&world.table,
+                         simos::ProcMountOptions{mode, world.exempt});
+    std::vector<simos::ProcDetails> snapshot;
+    std::size_t rows = 0;
+    const double scan_ns = fastest_ns(kWindows, [&] {
+      rows = 0;
+      for (std::size_t i = 0; i < kScans; ++i) {
+        snapshot = procfs.snapshot(reader);
+        rows += snapshot.size();
+      }
+    });
+    Result<simos::ProcStat> st = Errno::enoent;
+    std::size_t stats_ok = 0;
+    const double stat_ns = fastest_ns(kWindows, [&] {
+      stats_ok = 0;
+      for (std::size_t i = 0; i < kStats; ++i) {
+        st = procfs.stat(reader, own);
+        stats_ok += st.ok() ? 1 : 0;
+      }
+    });
+    const std::size_t visible =
+        mode == HidepidMode::off ? kProcs : kProcs / kUsers;
+    ok &= check_count("E1 scan rows", rows, kScans * visible);
+    ok &= check_count("E1 own-pid stats", stats_ok, kStats);
+    table.add_row({std::to_string(static_cast<int>(mode)),
+                   fmt_ns(scan_ns / kScans), fmt_ns(stat_ns / kStats)});
+  }
+  table.print();
+  return ok;
+}
+
 }  // namespace
 }  // namespace heus::bench
 
-int main(int argc, char** argv) {
-  benchmark::Initialize(&argc, argv);
-  benchmark::RunSpecifiedBenchmarks();
-  benchmark::Shutdown();
+int main() {
   heus::bench::visibility_report();
-  return 0;
+  return heus::bench::timing_report() ? 0 : 1;
 }

@@ -11,7 +11,6 @@
 //
 // Always writes BENCH_E22.json (override with --json=PATH); --smoke runs
 // fewer repetitions for CI.
-#include <chrono>
 #include <cstdio>
 #include <string>
 
@@ -27,14 +26,6 @@ using analyze::MachineStats;
 using analyze::ReachabilityChecker;
 using analyze::ReachReport;
 using common::Json;
-
-double elapsed_ms(std::chrono::steady_clock::time_point t0,
-                  std::chrono::steady_clock::time_point t1) {
-  return static_cast<double>(
-             std::chrono::duration_cast<std::chrono::microseconds>(t1 - t0)
-                 .count()) /
-         1000.0;
-}
 
 void run(Json& results, bool smoke) {
   print_banner(
@@ -54,15 +45,9 @@ void run(Json& results, bool smoke) {
                      "signature classes", "sweep"});
   Json machine_series = Json::array();
   for (const lifecycle::MachineDef* def : analyze::lifecycle_machines()) {
-    double best_ms = 0;
     ReachReport report;
-    for (int rep = 0; rep < reps; ++rep) {
-      const auto t0 = std::chrono::steady_clock::now();
-      report = checker.check(*def);
-      const auto t1 = std::chrono::steady_clock::now();
-      const double ms = elapsed_ms(t0, t1);
-      if (rep == 0 || ms < best_ms) best_ms = ms;
-    }
+    const double best_ms =
+        fastest_ns(reps, [&] { report = checker.check(*def); }) / 1e6;
     const MachineStats& m = report.machines.front();
     const std::uint64_t space = static_cast<std::uint64_t>(m.states) *
                                 def->events.size() * policies;
@@ -92,15 +77,9 @@ void run(Json& results, bool smoke) {
 
   // The gate itself: all six tables in one lattice pass, as heus-lint
   // --reach runs it.
-  double gate_ms = 0;
   ReachReport shipped;
-  for (int rep = 0; rep < reps; ++rep) {
-    const auto t0 = std::chrono::steady_clock::now();
-    shipped = checker.check_shipped();
-    const auto t1 = std::chrono::steady_clock::now();
-    const double ms = elapsed_ms(t0, t1);
-    if (rep == 0 || ms < gate_ms) gate_ms = ms;
-  }
+  const double gate_ms =
+      fastest_ns(reps, [&] { shipped = checker.check_shipped(); }) / 1e6;
   std::printf("\ncombined gate sweep: %zu machines x %zu policies in "
               "%.2f ms — %llu fired triples, %zu finding(s)\n",
               shipped.machines.size(), policies, gate_ms,

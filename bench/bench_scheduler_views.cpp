@@ -1,10 +1,8 @@
 // E2 (paper §IV-B): Slurm PrivateData hides other users' jobs, usage and
 // accounting at negligible query cost.
 //
-// Measures: squeue-style query latency with and without PrivateData at
-// several queue depths, and the row counts different reader classes see.
-#include <benchmark/benchmark.h>
-
+// Measures: the row counts different reader classes see, and squeue-style
+// query latency with and without PrivateData at several queue depths.
 #include <memory>
 
 #include "bench/common/table.h"
@@ -49,75 +47,6 @@ struct SchedWorld {
   }
 };
 
-void BM_SqueueQuery(benchmark::State& state) {
-  const auto n_jobs = static_cast<std::size_t>(state.range(0));
-  const bool private_data = state.range(1) != 0;
-  SchedWorld world(32, n_jobs, private_data);
-  const Credentials& reader = world.users[0];
-  for (auto _ : state) {
-    auto view = world.scheduler->list_jobs(reader);
-    benchmark::DoNotOptimize(view);
-  }
-  state.SetLabel(common::strformat("jobs=%zu private=%d", n_jobs,
-                                   private_data ? 1 : 0));
-}
-
-BENCHMARK(BM_SqueueQuery)
-    ->ArgsProduct({{128, 1024, 8192}, {0, 1}})
-    ->Unit(benchmark::kMicrosecond);
-
-void BM_JobInfoLookup(benchmark::State& state) {
-  const bool private_data = state.range(0) != 0;
-  SchedWorld world(32, 1024, private_data);
-  const Credentials& reader = world.users[0];
-  for (auto _ : state) {
-    auto info = world.scheduler->job_info(reader, JobId{1});
-    benchmark::DoNotOptimize(info);
-  }
-  state.SetLabel(private_data ? "private" : "open");
-}
-
-BENCHMARK(BM_JobInfoLookup)->Arg(0)->Arg(1);
-
-void BM_SimulatorCapacity(benchmark::State& state) {
-  // Not a paper claim — a capacity check on the simulator itself: how
-  // fast the event loop retires a large same-user job stream. Reported
-  // as jobs/second so users can size their own experiments.
-  const auto n_jobs = static_cast<std::size_t>(state.range(0));
-  for (auto _ : state) {
-    state.PauseTiming();
-    common::SimClock clock;
-    simos::UserDb db;
-    sched::SchedulerConfig cfg;
-    sched::Scheduler sched(&clock, cfg);
-    for (int i = 0; i < 16; ++i) {
-      sched::NodeInfo info;
-      info.hostname = "c" + std::to_string(i);
-      info.cpus = 64;
-      info.mem_mb = 1 << 20;
-      sched.add_node(info);
-    }
-    const Credentials user = *simos::login(db, *db.create_user("u"));
-    state.ResumeTiming();
-    for (std::size_t j = 0; j < n_jobs; ++j) {
-      sched::JobSpec spec;
-      spec.mem_mb_per_task = 64;
-      spec.duration_ns = static_cast<std::int64_t>(1 + j % 100) *
-                         common::kSecond;
-      (void)sched.submit(user, spec);
-    }
-    sched.run_until_drained();
-    benchmark::DoNotOptimize(sched.completed_count());
-  }
-  state.SetItemsProcessed(static_cast<std::int64_t>(state.iterations()) *
-                          static_cast<std::int64_t>(n_jobs));
-}
-
-BENCHMARK(BM_SimulatorCapacity)
-    ->Arg(1000)
-    ->Arg(10000)
-    ->Unit(benchmark::kMillisecond);
-
 void view_report() {
   print_banner(
       "E2: scheduler view filtering (paper §IV-B)",
@@ -146,13 +75,40 @@ void view_report() {
   table.print();
 }
 
+bool timing_report() {
+  print_banner("E2 timing: list_jobs for an ordinary user (wall clock)",
+               "32 users; per query, fastest of 5 windows.");
+  constexpr std::size_t kUsers = 32;
+  Table table({"jobs", "PrivateData", "rows", "per query"});
+  bool ok = true;
+  for (const std::size_t n_jobs : {128, 1024, 8192}) {
+    for (const bool private_data : {false, true}) {
+      SchedWorld world(kUsers, n_jobs, private_data);
+      const std::size_t rows = private_data ? n_jobs / kUsers : n_jobs;
+      // About 2 ms a window: 16K jobs rendered, or 256K jobs filtered.
+      const std::size_t calls = (private_data ? 262144 : 16384) / n_jobs;
+      std::vector<sched::JobView> view;
+      std::size_t seen = 0;
+      const double ns = fastest_ns(kWindows, [&] {
+        seen = 0;
+        for (std::size_t i = 0; i < calls; ++i) {
+          view = world.scheduler->list_jobs(world.users[0]);
+          seen += view.size();
+        }
+      });
+      ok &= check_count("E2 list_jobs rows", seen, calls * rows);
+      table.add_row({std::to_string(n_jobs), private_data ? "on" : "off",
+                     std::to_string(rows), fmt_ns(ns / calls)});
+    }
+  }
+  table.print();
+  return ok;
+}
+
 }  // namespace
 }  // namespace heus::bench
 
-int main(int argc, char** argv) {
-  benchmark::Initialize(&argc, argv);
-  benchmark::RunSpecifiedBenchmarks();
-  benchmark::Shutdown();
+int main() {
   heus::bench::view_report();
-  return 0;
+  return heus::bench::timing_report() ? 0 : 1;
 }

@@ -8,8 +8,6 @@
 // can put in front of every policy change at a million-user site: a full
 // 18-channel census is orders of magnitude cheaper than one dynamic
 // audit, let alone a cluster build.
-#include <chrono>
-
 #include "analyze/analyzer.h"
 #include "analyze/policy_space.h"
 #include "analyze/report.h"
@@ -37,19 +35,6 @@ ClusterConfig config(SeparationPolicy policy) {
   return cfg;
 }
 
-double elapsed_ns(std::chrono::steady_clock::time_point t0,
-                  std::chrono::steady_clock::time_point t1) {
-  return static_cast<double>(
-      std::chrono::duration_cast<std::chrono::nanoseconds>(t1 - t0)
-          .count());
-}
-
-std::string fmt_ns(double ns) {
-  if (ns >= 1e6) return common::strformat("%.2f ms", ns / 1e6);
-  if (ns >= 1e3) return common::strformat("%.2f us", ns / 1e3);
-  return common::strformat("%.0f ns", ns);
-}
-
 void static_vs_dynamic(Json& results) {
   print_banner(
       "E17: static analysis vs dynamic audit latency",
@@ -65,33 +50,33 @@ void static_vs_dynamic(Json& results) {
   constexpr int kStaticReps = 50;
   std::size_t censuses = 0;
   std::size_t crossable = 0;
-  const auto s0 = std::chrono::steady_clock::now();
-  for (int rep = 0; rep < kStaticReps; ++rep) {
-    for (const analyze::NamedPolicy& np : sweep) {
-      const analyze::AnalysisReport report = analyzer.analyze(np.policy);
-      crossable += report.crossable_count();
-      ++censuses;
+  analyze::AnalysisReport report;
+  const double static_total_ns = fastest_ns(1, [&] {
+    for (int rep = 0; rep < kStaticReps; ++rep) {
+      for (const analyze::NamedPolicy& np : sweep) {
+        report = analyzer.analyze(np.policy);
+        crossable += report.crossable_count();
+        ++censuses;
+      }
     }
-  }
-  const auto s1 = std::chrono::steady_clock::now();
-  const double static_ns = elapsed_ns(s0, s1) / static_cast<double>(censuses);
+  });
+  const double static_ns = static_total_ns / static_cast<double>(censuses);
 
   // Verdicts only (the inner pure function): what a bulk pre-submit gate
   // would run per (policy, channel).
   std::size_t verdicts = 0;
-  const auto v0 = std::chrono::steady_clock::now();
-  for (int rep = 0; rep < kStaticReps * 10; ++rep) {
-    for (const analyze::NamedPolicy& np : sweep) {
-      for (core::ChannelKind kind : core::kAllChannels) {
-        crossable += analyze::is_crossable(analyzer.verdict(np.policy, kind))
-                         ? 1
-                         : 0;
-        ++verdicts;
+  const double verdict_total_ns = fastest_ns(1, [&] {
+    for (int rep = 0; rep < kStaticReps * 10; ++rep) {
+      for (const analyze::NamedPolicy& np : sweep) {
+        for (core::ChannelKind kind : core::kAllChannels) {
+          const analyze::Verdict v = analyzer.verdict(np.policy, kind);
+          crossable += analyze::is_crossable(v) ? 1 : 0;
+          ++verdicts;
+        }
       }
     }
-  }
-  const auto v1 = std::chrono::steady_clock::now();
-  const double verdict_ns = elapsed_ns(v0, v1) / static_cast<double>(verdicts);
+  });
+  const double verdict_ns = verdict_total_ns / static_cast<double>(verdicts);
   const double verdict_census_ns =
       verdict_ns * static_cast<double>(core::kAllChannels.size());
 
@@ -102,28 +87,29 @@ void static_vs_dynamic(Json& results) {
   const Uid observer = *prebuilt.add_user("observer");
   LeakageAuditor auditor(&prebuilt);
   std::size_t open_dyn = 0;
-  const auto a0 = std::chrono::steady_clock::now();
-  for (int rep = 0; rep < kDynamicReps; ++rep) {
-    open_dyn += LeakageAuditor::open_count(
-        auditor.audit_pair(victim, observer));
-  }
-  const auto a1 = std::chrono::steady_clock::now();
-  const double audit_ns =
-      elapsed_ns(a0, a1) / static_cast<double>(kDynamicReps);
+  std::vector<core::ChannelReport> census;
+  const double audit_total_ns = fastest_ns(1, [&] {
+    for (int rep = 0; rep < kDynamicReps; ++rep) {
+      census = auditor.audit_pair(victim, observer);
+      open_dyn += LeakageAuditor::open_count(census);
+    }
+  });
+  const double audit_ns = audit_total_ns / kDynamicReps;
 
   // Dynamic, end to end: cluster build + audit, what a naive pre-submit
   // check would actually cost per policy change.
   std::size_t open_e2e = 0;
-  const auto e0 = std::chrono::steady_clock::now();
-  for (int rep = 0; rep < kDynamicReps; ++rep) {
-    Cluster cluster(config(SeparationPolicy::hardened()));
-    const Uid v = *cluster.add_user("victim");
-    const Uid o = *cluster.add_user("observer");
-    LeakageAuditor a(&cluster);
-    open_e2e += LeakageAuditor::open_count(a.audit_pair(v, o));
-  }
-  const auto e1 = std::chrono::steady_clock::now();
-  const double e2e_ns = elapsed_ns(e0, e1) / static_cast<double>(kDynamicReps);
+  const double e2e_total_ns = fastest_ns(1, [&] {
+    for (int rep = 0; rep < kDynamicReps; ++rep) {
+      Cluster cluster(config(SeparationPolicy::hardened()));
+      const Uid v = *cluster.add_user("victim");
+      const Uid o = *cluster.add_user("observer");
+      LeakageAuditor a(&cluster);
+      census = a.audit_pair(v, o);
+      open_e2e += LeakageAuditor::open_count(census);
+    }
+  });
+  const double e2e_ns = e2e_total_ns / kDynamicReps;
 
   Table table({"path", "census latency", "vs static verdicts"});
   Json series = Json::array();

@@ -10,8 +10,6 @@
 //
 // Ablation (DESIGN.md §5): a strawman per-packet firewall shows what the
 // new-connection-only design avoids.
-#include <benchmark/benchmark.h>
-
 #include "bench/common/table.h"
 #include "common/strings.h"
 #include "net/ubf.h"
@@ -43,64 +41,6 @@ struct NetWorld {
     h2 = nw.add_host("node-2");
   }
 };
-
-void BM_UbfDecision(benchmark::State& state) {
-  NetWorld world;
-  net::Ubf ubf(&world.db, &world.nw);
-  (void)world.nw.listen(world.h1, world.users[0], Pid{1}, net::Proto::tcp,
-                        5000);
-  auto flow = world.nw.connect(world.h2, world.users[0], Pid{2}, world.h1,
-                               net::Proto::tcp, 5000);
-  const std::optional<net::Flow> f = world.nw.find_flow(*flow);
-  net::ConnRequest req{world.h2, f->client_port, world.h1, 5000,
-                       net::Proto::tcp};
-  ubf.set_log_limit(0);
-  for (auto _ : state) {
-    benchmark::DoNotOptimize(ubf.decide(req));
-  }
-  state.SetLabel("same-user accept path");
-}
-
-BENCHMARK(BM_UbfDecision);
-
-void BM_ConnectWithAndWithoutUbf(benchmark::State& state) {
-  const bool with_ubf = state.range(0) != 0;
-  NetWorld world;
-  net::Ubf ubf(&world.db, &world.nw);
-  if (with_ubf) ubf.attach();
-  ubf.set_log_limit(0);
-  (void)world.nw.listen(world.h1, world.users[0], Pid{1}, net::Proto::tcp,
-                        5000);
-  for (auto _ : state) {
-    auto flow = world.nw.connect(world.h2, world.users[0], Pid{2},
-                                 world.h1, net::Proto::tcp, 5000);
-    benchmark::DoNotOptimize(flow);
-    if (flow) (void)world.nw.close(*flow);
-  }
-  state.SetLabel(with_ubf ? "ubf" : "open");
-}
-
-BENCHMARK(BM_ConnectWithAndWithoutUbf)->Arg(0)->Arg(1);
-
-void BM_EstablishedSend(benchmark::State& state) {
-  const bool with_ubf = state.range(0) != 0;
-  NetWorld world;
-  net::Ubf ubf(&world.db, &world.nw);
-  if (with_ubf) ubf.attach();
-  (void)world.nw.listen(world.h1, world.users[0], Pid{1}, net::Proto::tcp,
-                        5000);
-  auto flow = world.nw.connect(world.h2, world.users[0], Pid{2}, world.h1,
-                               net::Proto::tcp, 5000);
-  std::string payload(512, 'x');
-  for (auto _ : state) {
-    benchmark::DoNotOptimize(
-        world.nw.send(*flow, net::FlowEnd::client, payload));
-    (void)world.nw.recv(*flow, net::FlowEnd::server);
-  }
-  state.SetLabel(with_ubf ? "ubf attached (conntrack bypass)" : "open");
-}
-
-BENCHMARK(BM_EstablishedSend)->Arg(0)->Arg(1);
 
 void decision_matrix(Json& results) {
   print_banner(
@@ -230,25 +170,46 @@ void port_collision(Json& results) {
   results.set("port_collision", table_to_json(table));
 }
 
+bool timing_report() {
+  print_banner("E5 timing: one UBF decision (wall clock)",
+               "Same-user accept path; per decision, fastest of 5 windows.");
+  constexpr std::size_t kDecisions = 40000;
+  NetWorld world;
+  net::Ubf ubf(&world.db, &world.nw);
+  ubf.set_log_limit(0);
+  (void)world.nw.listen(world.h1, world.users[0], Pid{1}, net::Proto::tcp,
+                        5000);
+  auto flow = world.nw.connect(world.h2, world.users[0], Pid{2}, world.h1,
+                               net::Proto::tcp, 5000);
+  const std::optional<net::Flow> f = world.nw.find_flow(*flow);
+  const net::ConnRequest req{world.h2, f->client_port, world.h1, 5000,
+                             net::Proto::tcp};
+  net::UbfDecision verdict = net::UbfDecision::deny;
+  std::size_t allowed = 0;
+  const double ns = fastest_ns(kWindows, [&] {
+    allowed = 0;
+    for (std::size_t i = 0; i < kDecisions; ++i) {
+      verdict = ubf.decide(req);
+      allowed += verdict == net::UbfDecision::allow_same_user ? 1 : 0;
+    }
+  });
+  Table table({"call", "per call"});
+  table.add_row({"Ubf::decide, same user", fmt_ns(ns / kDecisions)});
+  table.print();
+  return check_count("E5 same-user allows", allowed, kDecisions);
+}
+
 }  // namespace
 }  // namespace heus::bench
 
 int main(int argc, char** argv) {
-  // Stash our own flags before google-benchmark validates the rest.
   const auto path = heus::common::json_flag(argc, argv, "BENCH_E5.json");
-  std::vector<char*> passthrough;
-  for (int i = 0; i < argc; ++i) {
-    if (heus::common::json_flag(argv[i], "")) continue;
-    passthrough.push_back(argv[i]);
-  }
-  int bench_argc = static_cast<int>(passthrough.size());
-  benchmark::Initialize(&bench_argc, passthrough.data());
-  benchmark::RunSpecifiedBenchmarks();
-  benchmark::Shutdown();
   heus::common::Json results = heus::common::Json::object();
   heus::bench::decision_matrix(results);
   heus::bench::latency_budget(results);
   heus::bench::port_collision(results);
-  if (!path) return 0;
-  return heus::bench::write_report("E5", std::move(results), *path) ? 0 : 1;
+  const bool written =
+      !path || heus::bench::write_report("E5", std::move(results), *path);
+  const bool timed = heus::bench::timing_report();
+  return written && timed ? 0 : 1;
 }

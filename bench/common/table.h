@@ -3,16 +3,19 @@
 // the series the paper's claim concerns; EXPERIMENTS.md reproduces these.
 // A bench run with --json[=PATH] also mirrors its results into a
 // BENCH_E*.json document (see write_report) so the perf trajectory is
-// diffable across commits.
+// diffable across commits. A bench that times code calls fastest_ns, the
+// one wall clock read in bench/ outside the separate bench/e2e/ project.
 #pragma once
 
 #include <algorithm>
+#include <chrono>
 #include <cstdio>
 #include <string>
 #include <utility>
 #include <vector>
 
 #include "common/json.h"
+#include "common/strings.h"
 
 namespace heus::bench {
 
@@ -20,6 +23,42 @@ inline bool has_flag(int argc, char** argv, const std::string& flag) {
   for (int i = 1; i < argc; ++i) {
     if (flag == argv[i]) return true;
   }
+  return false;
+}
+
+/// Windows per row of a paper-claim bench's timing table.
+inline constexpr int kWindows = 5;
+
+/// Wall-clock nanoseconds of the fastest of `windows` calls of `window`.
+/// A window assigns every result it produces to a variable declared
+/// outside it, and the bench checks those results afterwards
+/// (check_count): a dropped result would let a loop time an error path
+/// unnoticed, and freeing a large one inside the window times the
+/// allocator handing pages back to the system.
+template <typename Fn>
+double fastest_ns(int windows, Fn&& window) {
+  double best = 0;
+  for (int w = 0; w < windows; ++w) {
+    const auto t0 = std::chrono::steady_clock::now();
+    window();
+    const std::chrono::duration<double, std::nano> took =
+        std::chrono::steady_clock::now() - t0;
+    if (w == 0 || took.count() < best) best = took.count();
+  }
+  return best;
+}
+
+inline std::string fmt_ns(double ns) {
+  if (ns >= 1e6) return common::strformat("%.2f ms", ns / 1e6);
+  if (ns >= 1e3) return common::strformat("%.2f us", ns / 1e3);
+  return common::strformat("%.0f ns", ns);
+}
+
+/// The check after a timed window: false, with the mismatch on stderr,
+/// unless the window's results counted `want`.
+inline bool check_count(const char* what, std::size_t got, std::size_t want) {
+  if (got == want) return true;
+  std::fprintf(stderr, "%s: got %zu, want %zu\n", what, got, want);
   return false;
 }
 
