@@ -1,8 +1,9 @@
 // Golden-file tests for the heus-lint report surfaces: the markdown and
-// JSON renderings of a baseline census, a hardened census, and the
-// checked-in examples/site review must match tests/golden/ byte for
-// byte, and every JSON output must satisfy a real JSON parser — not
-// just a brace count.
+// JSON renderings of a baseline census, a hardened census, the
+// checked-in examples/site review, the lifecycle reachability sweep and
+// the escalation-path report under baseline and hardened must match
+// tests/golden/ byte for byte, and every JSON output must satisfy a
+// real JSON parser — not just a brace count.
 //
 // To regenerate after an intentional report change:
 //   HEUS_UPDATE_GOLDEN=1 ./build/tests/analyze_test --gtest_filter='Golden*'
@@ -18,6 +19,9 @@
 #include "analyze/analyzer.h"
 #include "analyze/ingest/site.h"
 #include "analyze/ingest/site_report.h"
+#include "analyze/knob_lint.h"
+#include "analyze/path_analyzer.h"
+#include "analyze/reachability.h"
 #include "analyze/report.h"
 #include "support/mini_json.h"
 
@@ -101,6 +105,34 @@ TEST(GoldenSiteTest, ExampleSiteJson) {
   const std::string json = ingest::to_json(example_review()).dump();
   expect_valid_json(json);
   compare_with_golden("site_review.json", json);
+}
+
+TEST(GoldenReachTest, ShippedTablesMarkdownAndJson) {
+  const ReachReport report = ReachabilityChecker().check_shipped();
+  compare_with_golden("reach.md", reach_to_markdown(report));
+  const std::string json = reach_to_json(report).dump();
+  expect_valid_json(json);
+  compare_with_golden("reach.json", json);
+}
+
+/// The heus-lint --paths product for `policy`: full report plus the
+/// dead-knob lint, rendered both ways under `stem`.
+void compare_paths(const std::string& stem,
+                   const core::SeparationPolicy& policy) {
+  const PathReport report = PathAnalyzer().full_report(policy);
+  const KnobLintReport lint = knob_lint();
+  compare_with_golden(stem + ".md", paths_to_markdown(report, &lint));
+  const std::string json = paths_to_json(report, &lint).dump();
+  expect_valid_json(json);
+  compare_with_golden(stem + ".json", json);
+}
+
+TEST(GoldenPathsTest, HardenedMarkdownAndJson) {
+  compare_paths("paths_hardened", core::SeparationPolicy::hardened());
+}
+
+TEST(GoldenPathsTest, BaselineMarkdownAndJson) {
+  compare_paths("paths_baseline", core::SeparationPolicy::baseline());
 }
 
 TEST(MiniJsonSelfTest, AcceptsValidRejectsInvalid) {
