@@ -7,9 +7,10 @@
 // 2-cluster federation. For the gate to sit in CI next to the reach
 // gate, all of that has to stay cheap. This experiment prices each
 // stage: graph build + enumeration per policy, the exhaustive lattice
-// sweep (and the signature-class quotient that keeps it exhaustive),
-// the mutation sweep, the minimal-cut search on the baseline path set,
-// the dead-knob lint census, and one healthy oracle run.
+// sweep (each point keyed by its catalogue entries' presence, one graph
+// built and enumerated per behaviour class), the mutation sweep, the
+// minimal-cut search on the baseline path set, the dead-knob lint
+// census, and one healthy oracle run.
 //
 // Always writes BENCH_E24.json (override with --json=PATH); --smoke runs
 // fewer repetitions for CI.

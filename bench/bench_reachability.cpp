@@ -5,9 +5,12 @@
 // no caching between runs. For the gate to sit in CI next to the config
 // lint, the exhaustive sweep has to stay cheap. This experiment measures
 // it: per-machine and combined sweep wall time, the size of the explored
-// space (states x events x policies, fired triples), and the
-// signature-class quotient that explains WHY exhaustiveness is cheap —
-// the lattice collapses to a handful of behaviour classes per machine.
+// space (states x events x policies, fired triples summed over every
+// point), and the signature-class quotient. Exhaustiveness is cheap
+// because a table's walk reads the policy only through its pinned
+// policy-guard outcomes: the sweep walks each table once per distinct
+// outcome vector and checks every point's guard/knob agreement and
+// opened-channel verdicts against that class's walk.
 //
 // Always writes BENCH_E22.json (override with --json=PATH); --smoke runs
 // fewer repetitions for CI.

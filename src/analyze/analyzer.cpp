@@ -182,32 +182,14 @@ std::vector<std::string> StaticAnalyzer::minimal_hardening(
   for (const KnobSpec& knob : knobs()) {
     if (!knob.is_hardened(policy)) moves.push_back(&knob);
   }
-  auto closes = [&](const std::vector<const KnobSpec*>& subset) {
-    SeparationPolicy p = policy;
-    for (const KnobSpec* knob : subset) knob->set(p, true);
-    return verdict(p, kind) == Verdict::closed;
-  };
-  for (const KnobSpec* a : moves) {
-    if (closes({a})) return {a->name};
-  }
-  for (std::size_t i = 0; i < moves.size(); ++i) {
-    for (std::size_t j = i + 1; j < moves.size(); ++j) {
-      if (closes({moves[i], moves[j]})) {
-        return {moves[i]->name, moves[j]->name};
-      }
-    }
-  }
-  for (std::size_t i = 0; i < moves.size(); ++i) {
-    for (std::size_t j = i + 1; j < moves.size(); ++j) {
-      for (std::size_t k = j + 1; k < moves.size(); ++k) {
-        if (closes({moves[i], moves[j], moves[k]})) {
-          return {moves[i]->name, moves[j]->name, moves[k]->name};
-        }
-      }
-    }
-  }
-  return {};  // not closable by hardening (shouldn't happen: residuals
-              // never reach here and every open channel has a knob)
+  // Empty when not closable by hardening (shouldn't happen: residuals
+  // never reach here and every open channel has a knob).
+  return first_knob_subset(
+      moves, [&](std::span<const KnobSpec* const> subset) {
+        SeparationPolicy p = policy;
+        for (const KnobSpec* knob : subset) knob->set(p, true);
+        return verdict(p, kind) == Verdict::closed;
+      });
 }
 
 std::string StaticAnalyzer::explain(const SeparationPolicy& p,

@@ -236,18 +236,6 @@ std::vector<EdgeSpec> make_catalog() {
   return out;
 }
 
-/// Presence of one catalogue entry under the enforcing policy.
-bool edge_present(const StaticAnalyzer& analyzer, const EdgeSpec& spec,
-                  const SeparationPolicy& enforcing) {
-  if (spec.channel) {
-    return is_crossable(analyzer.verdict(enforcing, *spec.channel));
-  }
-  if (spec.structurally_present != nullptr) {
-    return spec.structurally_present(enforcing);
-  }
-  return true;
-}
-
 }  // namespace
 
 std::span<const EdgeSpec> edge_catalog() {
@@ -260,6 +248,21 @@ const EdgeSpec* find_edge_spec(EdgeId id) {
     if (e.id == id) return &e;
   }
   return nullptr;
+}
+
+std::optional<EdgeClass> edge_presence(const StaticAnalyzer& analyzer,
+                                       const EdgeSpec& spec,
+                                       const SeparationPolicy& enforcing) {
+  if (spec.channel) {
+    const Verdict v = analyzer.verdict(enforcing, *spec.channel);
+    if (v == Verdict::closed) return std::nullopt;
+    return v == Verdict::open ? EdgeClass::open : EdgeClass::residual;
+  }
+  if (spec.structurally_present != nullptr &&
+      !spec.structurally_present(enforcing)) {
+    return std::nullopt;
+  }
+  return EdgeClass::structural;
 }
 
 ChannelGraph ChannelGraph::build(std::span<const ClusterSpec> clusters,
@@ -288,19 +291,15 @@ ChannelGraph ChannelGraph::build(std::span<const ClusterSpec> clusters,
     e.spec = &spec;
     e.enforcing_cluster = enforcing;
     const SeparationPolicy& policy = g.clusters_[enforcing].policy;
-    e.present = edge_present(analyzer, spec, policy);
-    if (spec.channel) {
-      const Verdict v = analyzer.verdict(policy, *spec.channel);
-      e.cls = v == Verdict::residual ? EdgeClass::residual
-              : v == Verdict::open   ? EdgeClass::open
-                                     : EdgeClass::structural;
-    } else {
-      e.cls = EdgeClass::structural;
-    }
+    const std::optional<EdgeClass> presence =
+        edge_presence(analyzer, spec, policy);
+    e.present = presence.has_value();
+    e.cls = presence.value_or(EdgeClass::structural);
     if (attribute) {
       for (const KnobSpec& k : knobs()) {
         const SeparationPolicy flipped = flip_knob(policy, k);
-        if (edge_present(analyzer, spec, flipped) != e.present) {
+        if (edge_presence(analyzer, spec, flipped).has_value() !=
+            e.present) {
           e.responsible_knobs.emplace_back(k.name);
         }
       }
@@ -361,49 +360,6 @@ std::vector<std::uint32_t> ChannelGraph::reachable() const {
 std::string ChannelGraph::node_label(std::uint32_t index) const {
   const GraphNode& n = node(index);
   return clusters_.at(n.cluster).name + "/" + to_string(n.vantage);
-}
-
-std::vector<obs::ChannelKind> reachable_openings(
-    const lifecycle::MachineDef& def,
-    const core::SeparationPolicy& policy) {
-  const lifecycle::PolicyView view = view_of(policy);
-  std::vector<bool> reachable(def.states.size(), false);
-  reachable[def.initial] = true;
-  std::vector<ChannelKind> opened;
-  // Fixpoint over states: events are environment-driven, policy guards
-  // pinned by `policy`, environment guards explored both ways — the
-  // reachability checker's exploration rule. The shipped tables keep
-  // rows for one (state, event) on distinct guard outcomes, so
-  // first-match shadowing cannot hide a row from this walk (the
-  // checker proves that separately).
-  for (bool changed = true; changed;) {
-    changed = false;
-    for (const lifecycle::Transition& t : def.transitions) {
-      if (!reachable[t.from]) continue;
-      bool fires = true;
-      if (t.guard != lifecycle::kNoGuard) {
-        const lifecycle::Guard& guard = def.guards[t.guard];
-        if (guard.kind == lifecycle::GuardKind::policy) {
-          fires = guard.eval(view) == t.when;
-        }
-      }
-      if (!fires) continue;
-      if (!reachable[t.to]) {
-        reachable[t.to] = true;
-        changed = true;
-      }
-      for (std::uint8_t i = 0; i < t.opens_channels.count; ++i) {
-        const ChannelKind kind = t.opens_channels.channel[i];
-        if (std::find(opened.begin(), opened.end(), kind) ==
-            opened.end()) {
-          opened.push_back(kind);
-          changed = true;
-        }
-      }
-    }
-  }
-  std::sort(opened.begin(), opened.end());
-  return opened;
 }
 
 }  // namespace heus::analyze

@@ -145,6 +145,14 @@ struct EdgeSpec {
 /// Catalogue lookup by id; never nullptr for a valid EdgeId.
 [[nodiscard]] const EdgeSpec* find_edge_spec(EdgeId id);
 
+/// Presence of one catalogue entry under its enforcing cluster's
+/// policy, the rule ChannelGraph::build applies to every instance: the
+/// edge's class when present, nullopt when absent. Lattice sweeps key a
+/// point with it without building the point's graph.
+[[nodiscard]] std::optional<EdgeClass> edge_presence(
+    const StaticAnalyzer& analyzer, const EdgeSpec& spec,
+    const core::SeparationPolicy& enforcing);
+
 /// One federation member as the graph sees it.
 struct ClusterSpec {
   std::string name;
@@ -214,14 +222,5 @@ class ChannelGraph {
   std::vector<GraphNode> nodes_;
   std::vector<GraphEdge> edges_;
 };
-
-/// Channels that some reachable transition of `def` opens under
-/// `policy`: policy guards pinned, environment guards explored both
-/// ways, events environment-driven — the same exploration rule the
-/// reachability checker uses. Sorted, deduplicated. The opens() <->
-/// graph property test holds this equal to the channel set of the
-/// present edges tagged with `def`.
-[[nodiscard]] std::vector<obs::ChannelKind> reachable_openings(
-    const lifecycle::MachineDef& def, const core::SeparationPolicy& policy);
 
 }  // namespace heus::analyze

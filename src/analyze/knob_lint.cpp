@@ -42,9 +42,8 @@ bool analyzer_references(const KnobSpec& k) {
         }
       }
       for (const EdgeSpec& e : edge_catalog()) {
-        if (e.structurally_present != nullptr &&
-            e.structurally_present(np.policy) !=
-                e.structurally_present(flipped)) {
+        if (edge_presence(analyzer, e, np.policy) !=
+            edge_presence(analyzer, e, flipped)) {
           return true;
         }
       }

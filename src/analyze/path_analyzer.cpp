@@ -1,6 +1,7 @@
 #include "analyze/path_analyzer.h"
 
 #include <algorithm>
+#include <optional>
 #include <unordered_map>
 
 #include "common/json.h"
@@ -56,25 +57,6 @@ std::vector<ClusterSpec> homogeneous_pair(const SeparationPolicy& p) {
   return {ClusterSpec{"c0", p}, ClusterSpec{"c1", p}};
 }
 
-/// Presence signature of the homogeneous 2-cluster graph: enough to
-/// memoize path counts across the lattice.
-std::string presence_signature(const ChannelGraph& g) {
-  std::string sig;
-  sig.reserve(g.edges().size());
-  for (const GraphEdge& e : g.edges()) {
-    sig += e.present ? (e.cls == EdgeClass::open ? 'o' : 'r') : '.';
-  }
-  return sig;
-}
-
-std::size_t count_escalation(const ChannelGraph& g) {
-  std::size_t n = 0;
-  for (const AttackPath& p : PathAnalyzer::enumerate(g)) {
-    if (p.has_open_hop) ++n;
-  }
-  return n;
-}
-
 }  // namespace
 
 std::vector<AttackPath> PathAnalyzer::enumerate(const ChannelGraph& graph,
@@ -102,8 +84,12 @@ PathReport PathAnalyzer::analyze(
 
 std::size_t PathAnalyzer::escalation_count(
     std::span<const ClusterSpec> clusters) const {
-  return count_escalation(ChannelGraph::build(
-      clusters, principal_, facts_, /*attribute=*/false));
+  std::size_t n = 0;
+  for (const AttackPath& p : enumerate(ChannelGraph::build(
+           clusters, principal_, facts_, /*attribute=*/false))) {
+    if (p.has_open_hop) ++n;
+  }
+  return n;
 }
 
 std::vector<std::string> PathAnalyzer::minimal_cut(
@@ -114,73 +100,55 @@ std::vector<std::string> PathAnalyzer::minimal_cut(
   // Candidates: the whole registry, not just the per-edge responsible
   // knobs — AND-gated pairs (fs.enforce_smask / fs.honor_smask) have no
   // single load-bearing member, yet both belong in the cut.
-  std::vector<std::string> candidates;
-  for (const KnobSpec& k : knobs()) candidates.emplace_back(k.name);
+  std::vector<const KnobSpec*> candidates;
+  for (const KnobSpec& k : knobs()) candidates.push_back(&k);
 
-  auto remaining = [&](const std::vector<std::string>& cut) {
+  auto remaining = [&](std::span<const KnobSpec* const> cut) {
     std::vector<ClusterSpec> hardened(clusters.begin(), clusters.end());
     for (ClusterSpec& c : hardened) {
-      for (const std::string& name : cut) {
-        const KnobSpec* k = find_knob(name);
-        if (k != nullptr) k->set(c.policy, /*hardened=*/true);
-      }
+      for (const KnobSpec* k : cut) k->set(c.policy, /*hardened=*/true);
     }
     return escalation_count(hardened);
   };
 
   // Exhaustive over small cuts.
-  for (std::size_t size = 1; size <= 3 && size <= candidates.size();
-       ++size) {
-    std::vector<std::size_t> pick(size);
-    for (std::size_t i = 0; i < size; ++i) pick[i] = i;
-    for (;;) {
-      std::vector<std::string> cut;
-      for (const std::size_t i : pick) cut.push_back(candidates[i]);
-      if (remaining(cut) == 0) return cut;
-      std::size_t at = size;
-      while (at > 0 &&
-             pick[at - 1] == candidates.size() - (size - at) - 1) {
-        --at;
-      }
-      if (at == 0) break;
-      ++pick[at - 1];
-      for (std::size_t i = at; i < size; ++i) {
-        pick[i] = pick[i - 1] + 1;
-      }
-    }
-  }
+  std::vector<std::string> small = first_knob_subset(
+      candidates, [&](std::span<const KnobSpec* const> cut) {
+        return remaining(cut) == 0;
+      });
+  if (!small.empty()) return small;
 
   // Greedy set cover with pair lookahead (an AND-gated pair makes no
   // progress one knob at a time), then prune redundant members.
-  std::vector<std::string> cut;
-  auto chosen = [&](const std::string& name) {
-    return std::find(cut.begin(), cut.end(), name) != cut.end();
+  std::vector<const KnobSpec*> cut;
+  auto chosen = [&](const KnobSpec* k) {
+    return std::find(cut.begin(), cut.end(), k) != cut.end();
   };
   std::size_t left = escalation.size();
   while (left > 0) {
-    std::string best;
+    const KnobSpec* best = nullptr;
     std::size_t best_left = left;
-    for (const std::string& name : candidates) {
-      if (chosen(name)) continue;
-      std::vector<std::string> trial = cut;
-      trial.push_back(name);
+    for (const KnobSpec* k : candidates) {
+      if (chosen(k)) continue;
+      std::vector<const KnobSpec*> trial = cut;
+      trial.push_back(k);
       const std::size_t after = remaining(trial);
       if (after < best_left) {
-        best = name;
+        best = k;
         best_left = after;
       }
     }
-    if (!best.empty()) {
+    if (best != nullptr) {
       cut.push_back(best);
       left = best_left;
       continue;
     }
-    std::pair<std::string, std::string> best_pair;
+    std::pair<const KnobSpec*, const KnobSpec*> best_pair{};
     for (std::size_t i = 0; i < candidates.size(); ++i) {
       if (chosen(candidates[i])) continue;
       for (std::size_t j = i + 1; j < candidates.size(); ++j) {
         if (chosen(candidates[j])) continue;
-        std::vector<std::string> trial = cut;
+        std::vector<const KnobSpec*> trial = cut;
         trial.push_back(candidates[i]);
         trial.push_back(candidates[j]);
         const std::size_t after = remaining(trial);
@@ -190,13 +158,13 @@ std::vector<std::string> PathAnalyzer::minimal_cut(
         }
       }
     }
-    if (best_pair.first.empty()) break;  // no progress even in pairs
+    if (best_pair.first == nullptr) break;  // no progress even in pairs
     cut.push_back(best_pair.first);
     cut.push_back(best_pair.second);
     left = best_left;
   }
   for (std::size_t i = 0; i < cut.size();) {
-    std::vector<std::string> trial = cut;
+    std::vector<const KnobSpec*> trial = cut;
     trial.erase(trial.begin() + static_cast<std::ptrdiff_t>(i));
     if (remaining(trial) == 0) {
       cut = std::move(trial);
@@ -204,22 +172,33 @@ std::vector<std::string> PathAnalyzer::minimal_cut(
       ++i;
     }
   }
-  return cut;
+  std::vector<std::string> names;
+  for (const KnobSpec* k : cut) names.emplace_back(k->name);
+  return names;
 }
 
 LatticeSweep PathAnalyzer::sweep() const {
   LatticeSweep s;
   s.policies = policy_space_size();
   const SeparationPolicy hardened = SeparationPolicy::hardened();
+  const StaticAnalyzer analyzer(facts_for(principal_, facts_));
+  const std::span<const EdgeSpec> catalog = edge_catalog();
+  // A point's behaviour class: every catalogue entry's presence under
+  // it. Both members of the homogeneous pair enforce the same policy,
+  // so each entry decides all of its instances, and one graph per class
+  // answers the escalation count.
   std::unordered_map<std::string, std::size_t> classes;
+  std::string key(catalog.size(), '.');
   for (std::size_t i = 0; i < s.policies; ++i) {
     const SeparationPolicy p = policy_at(i);
-    const ChannelGraph g = ChannelGraph::build(
-        homogeneous_pair(p), principal_, facts_, /*attribute=*/false);
-    const std::string sig = presence_signature(g);
-    auto it = classes.find(sig);
+    for (std::size_t e = 0; e < catalog.size(); ++e) {
+      const std::optional<EdgeClass> c =
+          edge_presence(analyzer, catalog[e], p);
+      key[e] = !c ? '.' : *c == EdgeClass::open ? 'o' : 'r';
+    }
+    auto it = classes.find(key);
     if (it == classes.end()) {
-      it = classes.emplace(sig, count_escalation(g)).first;
+      it = classes.emplace(key, escalation_count(homogeneous_pair(p))).first;
     }
     const std::size_t count = it->second;
     if (p == hardened) s.hardened_escalation_paths = count;

@@ -41,7 +41,7 @@ struct AttackPath {
 /// homogeneous instantiation per point).
 struct LatticeSweep {
   std::size_t policies = 0;
-  std::size_t behaviour_classes = 0;  ///< distinct presence signatures
+  std::size_t behaviour_classes = 0;  ///< distinct per-entry presences
   std::size_t policies_with_escalation = 0;
   std::size_t hardened_escalation_paths = 0;
   std::size_t max_escalation_paths = 0;
@@ -102,8 +102,10 @@ class PathAnalyzer {
       const std::vector<AttackPath>& escalation) const;
 
   /// Escalation-path count over the whole lattice (homogeneous
-  /// 2-cluster instantiation per point), memoized on the presence
-  /// signature — the lattice collapses to a few behaviour classes.
+  /// 2-cluster instantiation per point). Each point is keyed by every
+  /// catalogue entry's presence under it, and one graph is built and
+  /// enumerated per key — the lattice collapses to a few behaviour
+  /// classes.
   [[nodiscard]] LatticeSweep sweep() const;
 
   /// Every single-knob ablation of hardened, flagged with the exact

@@ -8,7 +8,9 @@
 // order, plus the sweep generators built on top of it.
 #pragma once
 
+#include <array>
 #include <optional>
+#include <span>
 #include <string>
 #include <utility>
 #include <vector>
@@ -40,6 +42,38 @@ struct KnobSpec {
 /// its hardened value goes to baseline, anything else goes to hardened.
 [[nodiscard]] core::SeparationPolicy flip_knob(core::SeparationPolicy p,
                                                const KnobSpec& knob);
+
+/// The names of the first subset of `candidates` for which
+/// `accept(std::span<const KnobSpec* const>)` holds: every subset of
+/// size 1, then 2, then 3, each size in lexicographic candidate order.
+/// Empty when no subset of size <= 3 is accepted. Every trial reuses
+/// one fixed buffer, so the search allocates nothing per trial.
+template <typename Accept>
+[[nodiscard]] std::vector<std::string> first_knob_subset(
+    std::span<const KnobSpec* const> candidates, Accept&& accept) {
+  const std::size_t n = candidates.size();
+  std::array<std::size_t, 3> at{};
+  std::array<const KnobSpec*, 3> pick{};
+  for (std::size_t size = 1; size <= pick.size() && size <= n; ++size) {
+    for (std::size_t i = 0; i < size; ++i) at[i] = i;
+    for (;;) {
+      for (std::size_t i = 0; i < size; ++i) pick[i] = candidates[at[i]];
+      const std::span<const KnobSpec* const> subset(pick.data(), size);
+      if (accept(subset)) {
+        std::vector<std::string> names;
+        for (const KnobSpec* k : subset) names.emplace_back(k->name);
+        return names;
+      }
+      // Next combination: bump the rightmost index that has room.
+      std::size_t i = size;
+      while (i > 0 && at[i - 1] == n - (size - i) - 1) --i;
+      if (i == 0) break;
+      ++at[i - 1];
+      for (; i < size; ++i) at[i] = at[i - 1] + 1;
+    }
+  }
+  return {};
+}
 
 /// A policy with a human-readable label, for sweeps and reports.
 struct NamedPolicy {

@@ -67,27 +67,78 @@ const char* to_string(ReachFindingKind kind) {
 
 namespace {
 
+/// The rows one exhaustive walk of `def` fires, in first-fire order:
+/// from the initial state, every event in every reached state, policy
+/// guard g pinned to `pinned[g]`, environment guards explored both
+/// ways, first match wins. The walk reads the policy only through
+/// `pinned`. It reaches the initial state and every fired row's target.
+std::vector<std::size_t> walk_table(const MachineDef& def,
+                                    const std::vector<bool>& pinned) {
+  std::vector<std::size_t> env_slot(def.guards.size(), 0);
+  std::size_t env_count = 0;
+  for (std::size_t g = 0; g < def.guards.size(); ++g) {
+    if (def.guards[g].kind != GuardKind::policy) env_slot[g] = env_count++;
+  }
+  std::vector<std::size_t> order;
+  std::vector<bool> fired(def.transitions.size(), false);
+  std::vector<bool> seen(def.states.size(), false);
+  std::vector<lifecycle::StateId> frontier{def.initial};
+  seen[def.initial] = true;
+  while (!frontier.empty()) {
+    const lifecycle::StateId s = frontier.back();
+    frontier.pop_back();
+    for (std::size_t e = 0; e < def.events.size(); ++e) {
+      for (std::uint32_t env = 0; env < (1u << env_count); ++env) {
+        auto outcome = [&](const Guard& g) {
+          const std::size_t gi =
+              static_cast<std::size_t>(&g - def.guards.data());
+          if (g.kind == GuardKind::policy) {
+            return static_cast<bool>(pinned[gi]);
+          }
+          return ((env >> env_slot[gi]) & 1u) != 0;
+        };
+        const Transition* t = lifecycle::resolve(
+            def, s, static_cast<lifecycle::EventId>(e), outcome);
+        if (t == nullptr) continue;
+        const std::size_t idx =
+            static_cast<std::size_t>(t - def.transitions.data());
+        if (!fired[idx]) {
+          fired[idx] = true;
+          order.push_back(idx);
+        }
+        if (!seen[t->to]) {
+          seen[t->to] = true;
+          frontier.push_back(t->to);
+        }
+      }
+    }
+  }
+  return order;
+}
+
 /// Per-machine working set for one check_all() sweep.
 struct MachineScan {
   const MachineDef* def = nullptr;
-  std::vector<std::size_t> policy_guards;  ///< guard indices, kind==policy
-  std::vector<std::size_t> env_guards;     ///< guard indices, kind==env
-  std::vector<std::size_t> env_slot;       ///< guard index -> env bit (or ~0)
+  /// Well-formed policy guards, by index. The structural pass leaves
+  /// malformed ones out (they stay unpinned, i.e. false), so one bad
+  /// guard yields one finding, not thousands.
+  std::vector<std::size_t> policy_guards;
+  std::vector<const KnobSpec*> guard_knob; ///< registry knob per guard
   std::vector<obs::ChannelKind> annotated; ///< distinct opened channels
-  /// Guards the structural pass disqualified; skipped by the agreement
-  /// rule so one malformed guard yields one finding, not thousands.
-  std::vector<bool> guard_bad;
+
+  /// The fired rows of one walk per pinned-outcome vector seen so far:
+  /// every lattice point with the same outcomes fires the same rows.
+  std::map<std::vector<bool>, std::vector<std::size_t>> walks;
+  std::vector<bool> pinned;  ///< the current point's outcomes, by guard
 
   // Sweep accumulators.
-  std::vector<bool> fired;    ///< row ever selected, any policy/env
-  std::vector<bool> reached;  ///< state ever reached, any policy/env
+  std::vector<bool> fired;  ///< row ever selected, any policy/env
   std::uint64_t triples = 0;
   std::set<std::uint64_t> signatures;
 
-  // Guard/knob agreement: per policy guard, outcome seen per knob token
-  // (-1 unset), plus the set of outcomes seen overall.
-  std::vector<std::map<std::string, int>> outcome_by_token;
-  std::vector<std::set<bool>> outcomes_seen;
+  // Guard/knob agreement: per policy guard, the outcome seen per knob
+  // token.
+  std::vector<std::map<std::string, bool>> outcome_by_token;
   std::vector<bool> mismatch_reported;
 
   // separation_opening dedup: (row index << 8) | channel.
@@ -96,43 +147,37 @@ struct MachineScan {
 
 void structural_pass(MachineScan& scan, std::vector<ReachFinding>& findings) {
   const MachineDef& def = *scan.def;
-  scan.guard_bad.assign(def.guards.size(), false);
+  scan.guard_knob.assign(def.guards.size(), nullptr);
   for (std::size_t g = 0; g < def.guards.size(); ++g) {
     const Guard& guard = def.guards[g];
     if (guard.kind == GuardKind::policy) {
+      const KnobSpec* knob =
+          guard.knob != nullptr ? find_knob(guard.knob) : nullptr;
       if (guard.eval == nullptr || guard.knob == nullptr) {
-        scan.guard_bad[g] = true;
         findings.push_back(
             {ReachFindingKind::bad_guard, def.name,
              strformat("policy guard `%s` lacks %s", guard.name,
                        guard.eval == nullptr ? "a predicate" : "a knob"),
              guard.knob != nullptr ? guard.knob : "", "", -1, -1});
-      } else if (find_knob(guard.knob) == nullptr) {
-        scan.guard_bad[g] = true;
+      } else if (knob == nullptr) {
         findings.push_back(
             {ReachFindingKind::unknown_knob, def.name,
              strformat("policy guard `%s` names unknown knob `%s`",
                        guard.name, guard.knob),
              guard.knob, "", -1, -1});
       } else {
+        scan.guard_knob[g] = knob;
         scan.policy_guards.push_back(g);
       }
-    } else {
-      if (guard.eval != nullptr || guard.knob != nullptr) {
-        scan.guard_bad[g] = true;
-        findings.push_back(
-            {ReachFindingKind::bad_guard, def.name,
-             strformat("environment guard `%s` carries %s", guard.name,
-                       guard.eval != nullptr ? "a policy predicate"
-                                             : "a knob"),
-             guard.knob != nullptr ? guard.knob : "", "", -1, -1});
-      }
-      scan.env_slot.resize(def.guards.size(), ~std::size_t{0});
-      scan.env_slot[g] = scan.env_guards.size();
-      scan.env_guards.push_back(g);
+    } else if (guard.eval != nullptr || guard.knob != nullptr) {
+      findings.push_back(
+          {ReachFindingKind::bad_guard, def.name,
+           strformat("environment guard `%s` carries %s", guard.name,
+                     guard.eval != nullptr ? "a policy predicate"
+                                           : "a knob"),
+           guard.knob != nullptr ? guard.knob : "", "", -1, -1});
     }
   }
-  scan.env_slot.resize(def.guards.size(), ~std::size_t{0});
 
   // Shadowing: group rows by (from, event); for every guard-outcome
   // assignment over the guards the group consults, find the first match.
@@ -188,10 +233,9 @@ void structural_pass(MachineScan& scan, std::vector<ReachFinding>& findings) {
     }
   }
 
+  scan.pinned.assign(def.guards.size(), false);
   scan.fired.assign(def.transitions.size(), false);
-  scan.reached.assign(def.states.size(), false);
   scan.outcome_by_token.resize(def.guards.size());
-  scan.outcomes_seen.resize(def.guards.size());
   scan.mismatch_reported.assign(def.guards.size(), false);
 }
 
@@ -202,17 +246,17 @@ void sweep_policy(MachineScan& scan, const core::SeparationPolicy& policy,
   const MachineDef& def = *scan.def;
 
   // Pin the policy guards; check each against its declared knob.
-  std::vector<bool> pinned(def.guards.size(), false);
-  for (const std::size_t g : scan.policy_guards) {
+  std::uint64_t signature = 0;
+  for (std::size_t k = 0; k < scan.policy_guards.size(); ++k) {
+    const std::size_t g = scan.policy_guards[k];
     const Guard& guard = def.guards[g];
     const bool outcome = guard.eval(view);
-    pinned[g] = outcome;
+    scan.pinned[g] = outcome;
+    signature |= static_cast<std::uint64_t>(outcome) << k;
     if (scan.mismatch_reported[g]) continue;
-    const KnobSpec* spec = find_knob(guard.knob);
-    const std::string token = knob_value(policy, *spec);
-    auto [it, inserted] =
-        scan.outcome_by_token[g].try_emplace(token, outcome ? 1 : 0);
-    if (!inserted && it->second != (outcome ? 1 : 0)) {
+    const std::string token = knob_value(policy, *scan.guard_knob[g]);
+    auto [it, inserted] = scan.outcome_by_token[g].try_emplace(token, outcome);
+    if (!inserted && it->second != outcome) {
       scan.mismatch_reported[g] = true;
       findings.push_back(
           {ReachFindingKind::guard_knob_mismatch, def.name,
@@ -221,74 +265,42 @@ void sweep_policy(MachineScan& scan, const core::SeparationPolicy& policy,
                      guard.name, guard.knob, token.c_str()),
            guard.knob, describe_policy(policy), -1, -1});
     }
-    scan.outcomes_seen[g].insert(outcome);
   }
 
-  // Exhaustive walk: BFS over states; per state × event, try every
-  // environment-guard assignment (policy guards stay pinned).
-  const std::size_t env_count = scan.env_guards.size();
-  std::vector<bool> fired_here(def.transitions.size(), false);
-  std::vector<bool> seen(def.states.size(), false);
-  std::vector<lifecycle::StateId> frontier{def.initial};
-  seen[def.initial] = true;
-  std::uint64_t signature = 0;
-  for (std::size_t k = 0; k < scan.policy_guards.size(); ++k) {
-    signature |= static_cast<std::uint64_t>(pinned[scan.policy_guards[k]])
-                 << k;
+  // The walk of this point's outcome class, run on first sight.
+  auto walk = scan.walks.find(scan.pinned);
+  if (walk == scan.walks.end()) {
+    walk = scan.walks.emplace(scan.pinned, walk_table(def, scan.pinned))
+               .first;
+    for (const std::size_t idx : walk->second) scan.fired[idx] = true;
   }
-  while (!frontier.empty()) {
-    const lifecycle::StateId s = frontier.back();
-    frontier.pop_back();
-    scan.reached[s] = true;
-    for (std::size_t e = 0; e < def.events.size(); ++e) {
-      for (std::uint32_t env = 0; env < (1u << env_count); ++env) {
-        auto outcome = [&](const Guard& g) {
-          const std::size_t gi =
-              static_cast<std::size_t>(&g - def.guards.data());
-          if (def.guards[gi].kind == GuardKind::policy) {
-            return static_cast<bool>(pinned[gi]);
-          }
-          return ((env >> scan.env_slot[gi]) & 1u) != 0;
-        };
-        const Transition* t = lifecycle::resolve(
-            def, s, static_cast<lifecycle::EventId>(e), outcome);
-        if (t == nullptr) continue;
-        const std::size_t idx =
-            static_cast<std::size_t>(t - def.transitions.data());
-        scan.fired[idx] = true;
-        if (!fired_here[idx]) {
-          fired_here[idx] = true;
-          ++scan.triples;
-        }
-        if (!seen[t->to]) {
-          seen[t->to] = true;
-          frontier.push_back(t->to);
-        }
-        for (std::uint8_t c = 0; c < t->opens_channels.count; ++c) {
-          const obs::ChannelKind ch = t->opens_channels.channel[c];
-          if (analyzer.verdict(policy, ch) != Verdict::closed) continue;
-          const std::uint64_t key =
-              (static_cast<std::uint64_t>(idx) << 8) |
-              static_cast<std::uint64_t>(ch);
-          if (!scan.openings_reported.insert(key).second) continue;
-          std::string knob =
-              t->guard != kNoGuard && def.guards[t->guard].knob != nullptr
-                  ? def.guards[t->guard].knob
-                  : "";
-          if (knob.empty()) {
-            const AnalysisReport rep = analyzer.analyze(policy);
-            const auto& resp = rep.finding(ch).responsible_knobs;
-            if (!resp.empty()) knob = common::join(resp, ", ");
-          }
-          findings.push_back(
-              {ReachFindingKind::separation_opening, def.name,
-               strformat("reachable transition %s opens `%s` while the "
-                         "analyzer holds it closed",
-                         lifecycle::describe(def, *t).c_str(),
-                         obs::to_string(ch)),
-               knob, describe_policy(policy), static_cast<int>(idx), -1});
-        }
+  scan.triples += walk->second.size();
+
+  // Every channel the walk opens, judged under this point's policy.
+  for (const std::size_t idx : walk->second) {
+    const Transition& t = def.transitions[idx];
+    for (std::uint8_t c = 0; c < t.opens_channels.count; ++c) {
+      const obs::ChannelKind ch = t.opens_channels.channel[c];
+      if (analyzer.verdict(policy, ch) != Verdict::closed) continue;
+      const std::uint64_t key = (static_cast<std::uint64_t>(idx) << 8) |
+                                static_cast<std::uint64_t>(ch);
+      if (!scan.openings_reported.insert(key).second) continue;
+      std::string knob =
+          t.guard != kNoGuard && def.guards[t.guard].knob != nullptr
+              ? def.guards[t.guard].knob
+              : "";
+      if (knob.empty()) {
+        const AnalysisReport rep = analyzer.analyze(policy);
+        const auto& resp = rep.finding(ch).responsible_knobs;
+        if (!resp.empty()) knob = common::join(resp, ", ");
       }
+      findings.push_back(
+          {ReachFindingKind::separation_opening, def.name,
+           strformat("reachable transition %s opens `%s` while the "
+                     "analyzer holds it closed",
+                     lifecycle::describe(def, t).c_str(),
+                     obs::to_string(ch)),
+           knob, describe_policy(policy), static_cast<int>(idx), -1});
     }
   }
   for (std::size_t k = 0; k < scan.annotated.size(); ++k) {
@@ -303,7 +315,12 @@ void finish_machine(MachineScan& scan, std::vector<ReachFinding>& findings) {
   const MachineDef& def = *scan.def;
   for (const std::size_t g : scan.policy_guards) {
     if (scan.mismatch_reported[g]) continue;
-    if (scan.outcomes_seen[g].size() < 2) {
+    const auto& by_token = scan.outcome_by_token[g];
+    const bool varies =
+        std::any_of(by_token.begin(), by_token.end(), [&](const auto& t) {
+          return t.second != by_token.begin()->second;
+        });
+    if (!varies) {
       findings.push_back(
           {ReachFindingKind::guard_knob_mismatch, def.name,
            strformat("policy guard `%s` never varies with its declared "
@@ -312,8 +329,13 @@ void finish_machine(MachineScan& scan, std::vector<ReachFinding>& findings) {
            def.guards[g].knob, "", -1, -1});
     }
   }
+  std::vector<bool> reached(def.states.size(), false);
+  reached[def.initial] = true;
+  for (std::size_t i = 0; i < def.transitions.size(); ++i) {
+    if (scan.fired[i]) reached[def.transitions[i].to] = true;
+  }
   for (std::size_t s = 0; s < def.states.size(); ++s) {
-    if (scan.reached[s]) continue;
+    if (reached[s]) continue;
     findings.push_back({ReachFindingKind::unreachable_state, def.name,
                         strformat("state `%s` is unreachable from `%s` "
                                   "under every policy and environment",
@@ -325,15 +347,14 @@ void finish_machine(MachineScan& scan, std::vector<ReachFinding>& findings) {
   for (std::size_t i = 0; i < def.transitions.size(); ++i) {
     if (scan.fired[i]) continue;
     // Shadowed rows are already reported with the sharper diagnosis.
-    bool already = false;
-    for (const ReachFinding& f : findings) {
-      if (f.kind == ReachFindingKind::shadowed_transition &&
-          f.machine == def.name && f.transition_index == static_cast<int>(i)) {
-        already = true;
-        break;
-      }
+    if (std::any_of(findings.begin(), findings.end(),
+                    [&](const ReachFinding& f) {
+                      return f.kind == ReachFindingKind::shadowed_transition &&
+                             f.machine == def.name &&
+                             f.transition_index == static_cast<int>(i);
+                    })) {
+      continue;
     }
-    if (already) continue;
     findings.push_back(
         {ReachFindingKind::dead_transition, def.name,
          strformat("row %zu (%s) never fires under any policy or "
@@ -373,6 +394,27 @@ ReachReport ReachabilityChecker::check_all(
 ReachReport ReachabilityChecker::check(const MachineDef& def) const {
   const MachineDef* const one[] = {&def};
   return check_all(one);
+}
+
+std::vector<obs::ChannelKind> reachable_openings(
+    const MachineDef& def, const core::SeparationPolicy& policy) {
+  const lifecycle::PolicyView view = view_of(policy);
+  std::vector<bool> pinned(def.guards.size(), false);
+  for (std::size_t g = 0; g < def.guards.size(); ++g) {
+    const Guard& guard = def.guards[g];
+    if (guard.kind == GuardKind::policy && guard.eval != nullptr) {
+      pinned[g] = guard.eval(view);
+    }
+  }
+  std::vector<obs::ChannelKind> opened;
+  for (const std::size_t row : walk_table(def, pinned)) {
+    const lifecycle::Opens& o = def.transitions[row].opens_channels;
+    opened.insert(opened.end(), o.channel.begin(),
+                  o.channel.begin() + o.count);
+  }
+  std::sort(opened.begin(), opened.end());
+  opened.erase(std::unique(opened.begin(), opened.end()), opened.end());
+  return opened;
 }
 
 std::string reach_to_markdown(const ReachReport& report) {

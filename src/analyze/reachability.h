@@ -4,13 +4,13 @@
 // The tables in src/lifecycle (network flow, job, transfer, portal
 // session, container entry) annotate exactly which transitions open a
 // cross-user channel without an enforcement decision. This checker
-// closes the loop with the per-channel StaticAnalyzer: for every point
-// of the policy lattice it walks the reachable (state, event,
-// guard-outcome) triples of each table — policy guards pinned by the
-// policy, environment guards explored both ways — and proves that no
-// reachable transition sequence opens a channel the analyzer holds
-// closed under that policy. On the way it enforces the table hygiene
-// rules the runtime Driver assumes:
+// closes the loop with the per-channel StaticAnalyzer: it walks the
+// reachable (state, event, guard-outcome) triples of each table —
+// policy guards pinned by the policy, environment guards explored both
+// ways — and proves that no reachable transition sequence opens a
+// channel the analyzer holds closed under any point of the policy
+// lattice. On the way it enforces the table hygiene rules the runtime
+// Driver assumes:
 //
 //  - every policy guard names a registry knob and its predicate is a
 //    function of that knob's value alone (the transition/knob
@@ -21,10 +21,13 @@
 //    policy/environment — dead rows are drift between table and code.
 //
 // The sweep is exact, not sampled: all policy_space_size() points (the
-// full 73,728-policy lattice). Per machine it also reports the number
-// of *policy-guard signature* classes — distinct (guard outcomes,
-// annotated-channel verdicts) vectors — which documents how small the
-// quotient the exhaustive walk actually distinguishes is.
+// full 73,728-policy lattice). A walk reads the policy only through the
+// pinned outcomes of the table's policy guards, so it runs once per
+// distinct outcome vector (at most two per shipped table); every point
+// still gets its own guard/knob agreement check, its own verdict for
+// each channel its class's walk opens, and its own fired-triple count.
+// Per machine the report also counts *policy-guard signature* classes —
+// distinct (guard outcomes, annotated-channel verdicts) vectors.
 #pragma once
 
 #include <span>
@@ -45,6 +48,14 @@ namespace heus::analyze {
 /// transfer, portal-session, container-entry, fed-breaker.
 [[nodiscard]] std::span<const lifecycle::MachineDef* const>
 lifecycle_machines();
+
+/// Channels that some reachable transition of `def` opens under
+/// `policy`: the checker's walk of the table with the policy guards
+/// pinned by `policy`, projected onto the rows' opens() annotations.
+/// Sorted, deduplicated. The opens() <-> graph property test holds this
+/// equal to the channel set of the present edges tagged with `def`.
+[[nodiscard]] std::vector<obs::ChannelKind> reachable_openings(
+    const lifecycle::MachineDef& def, const core::SeparationPolicy& policy);
 
 enum class ReachFindingKind {
   bad_guard,          ///< malformed guard (policy w/o eval, env w/ eval)
@@ -96,8 +107,6 @@ class ReachabilityChecker {
  public:
   explicit ReachabilityChecker(TopologyFacts facts = {})
       : analyzer_(facts) {}
-
-  [[nodiscard]] const StaticAnalyzer& analyzer() const { return analyzer_; }
 
   /// Sweep one table over the full policy lattice.
   [[nodiscard]] ReachReport check(const lifecycle::MachineDef& def) const;

@@ -3,6 +3,10 @@
 // knob registry, and report rendering.
 #include <gtest/gtest.h>
 
+#include <span>
+#include <string>
+#include <vector>
+
 #include "analyze/analyzer.h"
 #include "analyze/policy_space.h"
 #include "analyze/report.h"
@@ -153,6 +157,37 @@ TEST(PolicySpace, KnobRegistryRoundTrips) {
   }
   EXPECT_NE(find_knob("ubf"), nullptr);
   EXPECT_EQ(find_knob("no-such-knob"), nullptr);
+}
+
+// The shared knob-subset search behind minimal_hardening and
+// minimal_cut: every subset of size 1, then 2, then 3, each size in
+// lexicographic candidate order, and the first accepted one wins.
+TEST(PolicySpace, FirstKnobSubsetTriesSmallSubsetsInCandidateOrder) {
+  const std::vector<KnobSpec>& all = knobs();
+  ASSERT_GE(all.size(), 4u);
+  const std::vector<const KnobSpec*> four = {&all[0], &all[1], &all[2],
+                                             &all[3]};
+  auto index = [&](const KnobSpec* k) { return k - &all[0]; };
+  std::vector<std::string> tried;
+  const std::vector<std::string> none =
+      first_knob_subset(four, [&](std::span<const KnobSpec* const> s) {
+        std::string trial;
+        for (const KnobSpec* k : s) trial += std::to_string(index(k));
+        tried.push_back(trial);
+        return false;
+      });
+  EXPECT_TRUE(none.empty());
+  EXPECT_EQ(tried, (std::vector<std::string>{
+                       "0", "1", "2", "3", "01", "02", "03", "12", "13",
+                       "23", "012", "013", "023", "123"}));
+
+  // The smallest accepted size wins over any larger subset, and within
+  // it the first subset in candidate order.
+  const std::vector<std::string> pair =
+      first_knob_subset(four, [&](std::span<const KnobSpec* const> s) {
+        return s.size() >= 2 && index(s.back()) == 3;
+      });
+  EXPECT_EQ(pair, (std::vector<std::string>{all[0].name, all[3].name}));
 }
 
 TEST(PolicySpace, SetKnobFromString) {
