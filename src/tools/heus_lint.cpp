@@ -13,6 +13,7 @@
 #include <cstring>
 #include <optional>
 #include <string>
+#include <utility>
 
 #include "analyze/analyzer.h"
 #include "analyze/degraded.h"
@@ -24,6 +25,7 @@
 #include "analyze/reachability.h"
 #include "analyze/report.h"
 #include "common/json.h"
+#include "common/strings.h"
 #include "core/audit.h"
 #include "core/cluster.h"
 #include "obs/decision.h"
@@ -34,6 +36,9 @@ void usage(std::FILE* to) {
   std::fputs(
       "heus-lint: static separation-policy analyzer\n"
       "usage: heus-lint [options]\n"
+      "  runs the channel census, or one of --reach, --paths, --trace,\n"
+      "  --site, --degraded; --gate does not combine with --trace or\n"
+      "  --degraded\n"
       "  --policy=baseline|hardened  starting policy (default: baseline)\n"
       "  --set=<knob>=<value>        override one knob (repeatable)\n"
       "  --site=<dir>                review a deployment snapshot: parse\n"
@@ -110,13 +115,16 @@ void usage(std::FILE* to) {
 }
 
 using heus::common::Json;
+using heus::common::strformat;
 
-/// Route one subcommand's rendered documents: markdown/JSON to stdout
-/// per --format, plus the --json[=PATH] destination (empty: stdout, and
-/// then the JSON is not printed twice). Returns false on a write error.
-bool emit(const std::string& format,
-          const std::optional<std::string>& json_path,
-          const std::string& markdown, const Json& json) {
+/// Every subcommand ends here. Route its rendered documents: markdown/
+/// JSON to stdout per --format, plus the --json[=PATH] destination
+/// (empty: stdout, and then the JSON is not printed twice). Then exit 2
+/// on a write error, 1 with `why` on stderr when `gate_failed`, else 0.
+int finish(const std::string& format,
+           const std::optional<std::string>& json_path,
+           const std::string& markdown, const Json& json, bool gate_failed,
+           const std::string& why = {}) {
   if (format == "markdown" || format == "both") {
     std::fputs(markdown.c_str(), stdout);
   }
@@ -127,9 +135,11 @@ bool emit(const std::string& format,
   if (json_path && !heus::common::write_json(json, *json_path)) {
     std::fprintf(stderr, "heus-lint: cannot write --json=%s\n",
                  json_path->c_str());
-    return false;
+    return 2;
   }
-  return true;
+  if (!gate_failed) return 0;
+  std::fprintf(stderr, "heus-lint: %s\n", why.c_str());
+  return 1;
 }
 
 /// --trace: one leakage audit over a live demo cluster with the decision
@@ -207,7 +217,7 @@ int run_trace(const heus::core::SeparationPolicy& policy,
   Json json = Json::object();
   json.set("policy", analyze::describe_policy(policy))
       .set("decisions", std::move(rows));
-  return emit(format, json_path, md, json) ? 0 : 2;
+  return finish(format, json_path, md, json, /*gate_failed=*/false);
 }
 
 /// JSON rendering of the degraded census (the markdown emitter lives in
@@ -339,62 +349,55 @@ int main(int argc, char** argv) {
     }
   }
 
+  // One subcommand per run, and --gate only where a gate exists: fail
+  // closed on a flag this run would otherwise drop.
+  const char* subcommand = nullptr;
+  const std::pair<bool, const char*> subcommands[] = {
+      {reach, "--reach"},         {paths, "--paths"},
+      {trace, "--trace"},         {!site_dir.empty(), "--site"},
+      {degraded, "--degraded"},
+  };
+  for (const auto& [chosen, name] : subcommands) {
+    if (!chosen) continue;
+    if (subcommand != nullptr) {
+      std::fprintf(stderr, "heus-lint: %s does not combine with %s\n",
+                   subcommand, name);
+      return 2;
+    }
+    subcommand = name;
+  }
+  if (gate && (trace || degraded)) {
+    std::fprintf(stderr,
+                 "heus-lint: --gate does not combine with %s, which has "
+                 "no gate\n",
+                 subcommand);
+    return 2;
+  }
+
   if (reach) {
-    if (trace || !site_dir.empty()) {
-      std::fprintf(stderr,
-                   "heus-lint: --reach checks the shipped lifecycle "
-                   "tables; it does not combine with --trace or --site\n");
-      return 2;
-    }
-    const analyze::ReachabilityChecker checker(facts);
-    const analyze::ReachReport report = checker.check_shipped();
-    if (!emit(format, json_path, analyze::reach_to_markdown(report),
-              analyze::reach_to_json(report))) {
-      return 2;
-    }
-    if (gate && !report.clean()) {
-      std::fprintf(stderr,
-                   "heus-lint: REACH GATE FAILED — %zu lifecycle-table "
-                   "finding(s)\n",
-                   report.findings.size());
-      return 1;
-    }
-    return 0;
+    const analyze::ReachReport report =
+        analyze::ReachabilityChecker(facts).check_shipped();
+    return finish(format, json_path, analyze::reach_to_markdown(report),
+                  analyze::reach_to_json(report), gate && !report.clean(),
+                  strformat("REACH GATE FAILED — %zu lifecycle-table "
+                            "finding(s)",
+                            report.findings.size()));
   }
   if (paths) {
-    if (trace || !site_dir.empty()) {
-      std::fprintf(stderr,
-                   "heus-lint: --paths reviews one policy; it does not "
-                   "combine with --trace or --site\n");
-      return 2;
-    }
-    const analyze::PathAnalyzer analyzer(facts);
-    const analyze::PathReport report = analyzer.full_report(policy);
+    const analyze::PathReport report =
+        analyze::PathAnalyzer(facts).full_report(policy);
     const analyze::KnobLintReport lint = analyze::knob_lint();
-    if (!emit(format, json_path, analyze::paths_to_markdown(report, &lint),
-              analyze::paths_to_json(report, &lint))) {
-      return 2;
-    }
-    if (gate && !(report.gate_ok() && lint.clean())) {
-      std::fprintf(stderr,
-                   "heus-lint: PATHS GATE FAILED — %zu escalation "
-                   "path(s), %zu hardened lattice path(s), %zu "
-                   "dead-knob finding(s)\n",
-                   report.escalation.size(),
-                   report.sweep.hardened_escalation_paths,
-                   lint.findings.size());
-      return 1;
-    }
-    return 0;
+    return finish(format, json_path, analyze::paths_to_markdown(report, &lint),
+                  analyze::paths_to_json(report, &lint),
+                  gate && !(report.gate_ok() && lint.clean()),
+                  strformat("PATHS GATE FAILED — %zu escalation path(s), "
+                            "%zu hardened lattice path(s), %zu dead-knob "
+                            "finding(s)",
+                            report.escalation.size(),
+                            report.sweep.hardened_escalation_paths,
+                            lint.findings.size()));
   }
-  if (trace) {
-    if (!site_dir.empty()) {
-      std::fprintf(stderr,
-                   "heus-lint: --trace reviews one policy, not --site\n");
-      return 2;
-    }
-    return run_trace(policy, format, json_path);
-  }
+  if (trace) return run_trace(policy, format, json_path);
   if (!site_dir.empty()) {
     std::string error;
     auto site = analyze::ingest::load_site(site_dir, &error);
@@ -404,42 +407,26 @@ int main(int argc, char** argv) {
     }
     const analyze::ingest::SiteReview review =
         analyze::ingest::review_site(std::move(*site), facts);
-    if (!emit(format, json_path, analyze::ingest::to_markdown(review),
-              analyze::ingest::to_json(review))) {
-      return 2;
-    }
-    if (gate && !review.gate_ok()) {
-      std::fprintf(stderr,
-                   "heus-lint: SITE GATE FAILED — %zu unexpectedly-open "
-                   "channel(s), %zu drift finding(s), %zu parse "
-                   "error(s)\n",
-                   review.unexpected_open_total(), review.drift.size(),
-                   review.error_count());
-      return 1;
-    }
-    return 0;
+    return finish(format, json_path, analyze::ingest::to_markdown(review),
+                  analyze::ingest::to_json(review),
+                  gate && !review.gate_ok(),
+                  strformat("SITE GATE FAILED — %zu unexpectedly-open "
+                            "channel(s), %zu drift finding(s), %zu parse "
+                            "error(s)",
+                            review.unexpected_open_total(),
+                            review.drift.size(), review.error_count()));
   }
   const analyze::StaticAnalyzer analyzer(facts);
   if (degraded) {
     const analyze::DegradedReport census =
         analyze::degraded_census(analyzer, policy);
-    if (!emit(format, json_path, analyze::to_markdown(census),
-              degraded_to_json(census))) {
-      return 2;
-    }
-    return 0;
+    return finish(format, json_path, analyze::to_markdown(census),
+                  degraded_to_json(census), /*gate_failed=*/false);
   }
   const analyze::AnalysisReport report = analyzer.analyze(policy);
-  if (!emit(format, json_path, analyze::to_markdown(report),
-            analyze::to_json(report))) {
-    return 2;
-  }
-  if (gate && report.unexpected_open_count() > 0) {
-    std::fprintf(stderr,
-                 "heus-lint: GATE FAILED — %zu unexpectedly-open "
-                 "channel(s)\n",
-                 report.unexpected_open_count());
-    return 1;
-  }
-  return 0;
+  return finish(format, json_path, analyze::to_markdown(report),
+                analyze::to_json(report),
+                gate && report.unexpected_open_count() > 0,
+                strformat("GATE FAILED — %zu unexpectedly-open channel(s)",
+                          report.unexpected_open_count()));
 }

@@ -46,6 +46,18 @@ check 2 "--site needs a directory" --site=
 check 2 "not a readable directory" --site=/nonexistent/site/dir
 check 2 "does not combine" --reach --site="$site"
 check 2 "does not combine" --reach --trace
+check 2 "does not combine" --paths --site="$site"
+check 2 "does not combine" --paths --trace
+check 2 "does not combine" --trace --site="$site"
+# One subcommand per run: a second one is refused, never dropped.
+check 2 "does not combine" --policy=baseline --reach --paths --gate
+check 2 "does not combine" --degraded --reach
+check 2 "does not combine" --degraded --paths
+check 2 "does not combine" --degraded --trace
+check 2 "does not combine" --degraded --site="$site"
+# --trace and --degraded have no gate; --gate with them is refused.
+check 2 "does not combine" --policy=baseline --degraded --gate
+check 2 "does not combine" --policy=baseline --trace --gate
 
 # A failed --json write must reach the exit code, even for a document
 # smaller than the stdio buffer. stdout still carries the markdown
