@@ -134,6 +134,19 @@ class EndToEndTest(unittest.TestCase):
         self.assertIn("rows[a].allocs: missing from fresh", p.stdout)
         self.assertNotIn("rows[b]", p.stdout)
 
+    def test_ok_line_names_the_applied_tolerance(self):
+        p = run_diff({"touched": 100}, {"touched": 100},
+                     "--override", "*=0")
+        self.assertEqual(p.returncode, 0, p.stdout + p.stderr)
+        self.assertIn("1 metrics within 0%", p.stdout)
+        self.assertNotIn("10%", p.stdout)
+
+    def test_ok_line_counts_each_tolerance(self):
+        p = run_diff({"touched": 100, "alloc_per_op": 3},
+                     {"touched": 100, "alloc_per_op": 3})
+        self.assertEqual(p.returncode, 0, p.stdout + p.stderr)
+        self.assertIn("1 metrics within 10%, 1 within 0%", p.stdout)
+
     def test_missing_metric_still_fails(self):
         p = run_diff({"alloc_per_op": 1, "touched": 2}, {"touched": 2})
         self.assertEqual(p.returncode, 1, p.stdout + p.stderr)
