@@ -31,7 +31,6 @@
 #include <vector>
 
 #include "analyze/analyzer.h"
-#include "analyze/reachability.h"
 #include "core/policy.h"
 #include "lifecycle/machine.h"
 #include "obs/taxonomy.h"
