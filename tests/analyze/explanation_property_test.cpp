@@ -8,7 +8,15 @@
 //    proper subset of the suggestion does (cardinality-minimality).
 //  - Residual channels are structural: no knob assignment anywhere in the
 //    sweep closes them, and they never carry hardening suggestions.
+//
+// The CensusLattice tests then hold analyze() to its definitions at every
+// one of the policy_space_size() lattice points, and pin the whole census
+// (verdicts, explanation text, both knob lists) to one digest, so the
+// text at points no golden file covers cannot drift either.
 #include <gtest/gtest.h>
+
+#include <cstdint>
+#include <string_view>
 
 #include "analyze/analyzer.h"
 #include "analyze/policy_space.h"
@@ -98,6 +106,104 @@ TEST(ExplanationSoundness, ResidualsAreStructural) {
       EXPECT_TRUE(f.minimal_hardening.empty()) << core::to_string(f.kind);
     }
   }
+}
+
+/// A knob list as names in registry order. The lattice tests read every
+/// list through this, so they hold the census to its definitions without
+/// depending on how a report stores the lists.
+template <typename Knobs>
+std::vector<std::string> names_of(const Knobs& knobs) {
+  if constexpr (requires { knobs.names(); }) {
+    return knobs.names();
+  } else {
+    return std::vector<std::string>(knobs.begin(), knobs.end());
+  }
+}
+
+/// The per-channel definition of responsible knobs: every registry knob
+/// whose single flip changes `kind`'s crossability, in registry order.
+std::vector<std::string> reference_responsible(
+    const StaticAnalyzer& analyzer, const core::SeparationPolicy& policy,
+    core::ChannelKind kind) {
+  const bool crossable = is_crossable(analyzer.verdict(policy, kind));
+  std::vector<std::string> out;
+  for (const KnobSpec& knob : knobs()) {
+    const Verdict flipped = analyzer.verdict(flip_knob(policy, knob), kind);
+    if (is_crossable(flipped) != crossable) out.emplace_back(knob.name);
+  }
+  return out;
+}
+
+/// The per-channel definition of minimal hardening: for an open channel,
+/// the first subset of the point's unhardened knobs (registry order,
+/// first_knob_subset's trial order) whose hardening closes `kind`.
+std::vector<std::string> reference_hardening(
+    const StaticAnalyzer& analyzer, const core::SeparationPolicy& policy,
+    core::ChannelKind kind) {
+  if (analyzer.verdict(policy, kind) != Verdict::open) return {};
+  std::vector<const KnobSpec*> moves;
+  for (const KnobSpec& knob : knobs()) {
+    if (!knob.is_hardened(policy)) moves.push_back(&knob);
+  }
+  return names_of(first_knob_subset(
+      moves, [&](std::span<const KnobSpec* const> subset) {
+        core::SeparationPolicy p = policy;
+        for (const KnobSpec* knob : subset) knob->set(p, true);
+        return analyzer.verdict(p, kind) == Verdict::closed;
+      }));
+}
+
+TEST(CensusLattice, FindingsMatchTheirDefinitionsAtEveryPoint) {
+  const StaticAnalyzer analyzer;
+  std::size_t failures = 0;
+  for (std::size_t i = 0; i < policy_space_size() && failures < 8; ++i) {
+    const core::SeparationPolicy policy = policy_at(i);
+    const AnalysisReport report = analyzer.analyze(policy);
+    for (const core::ChannelKind kind : core::kAllChannels) {
+      const ChannelFinding& f = report.finding(kind);
+      const bool ok =
+          f.kind == kind && f.verdict == analyzer.verdict(policy, kind) &&
+          names_of(f.responsible_knobs) ==
+              reference_responsible(analyzer, policy, kind) &&
+          names_of(f.minimal_hardening) ==
+              reference_hardening(analyzer, policy, kind);
+      if (ok) continue;
+      ++failures;
+      ADD_FAILURE() << core::to_string(kind) << " at policy_at(" << i
+                    << "): " << describe_policy(policy);
+    }
+  }
+}
+
+/// FNV-1a over `bytes` and a terminating zero byte, so consecutive
+/// fields cannot run into one another.
+std::uint64_t mix(std::uint64_t h, std::string_view bytes) {
+  for (const char c : bytes) {
+    h = (h ^ static_cast<unsigned char>(c)) * 0x100000001b3ULL;
+  }
+  return h * 0x100000001b3ULL;
+}
+
+TEST(CensusLattice, DigestOverEveryPointIsPinned) {
+  const StaticAnalyzer analyzer;
+  std::uint64_t h = 0xcbf29ce484222325ULL;
+  for (std::size_t i = 0; i < policy_space_size(); ++i) {
+    const AnalysisReport report = analyzer.analyze(policy_at(i));
+    for (const ChannelFinding& f : report.findings) {
+      h = mix(h, core::to_string(f.kind));
+      h = mix(h, to_string(f.verdict));
+      h = mix(h, std::string_view(f.explanation));
+      for (const std::string& name : names_of(f.responsible_knobs)) {
+        h = mix(h, name);
+      }
+      h = mix(h, {});
+      for (const std::string& name : names_of(f.minimal_hardening)) {
+        h = mix(h, name);
+      }
+      h = mix(h, {});
+    }
+  }
+  EXPECT_EQ(h, 0x1250f89f64cfc165ULL) << std::hex << "0x" << h;
 }
 
 }  // namespace
