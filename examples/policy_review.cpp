@@ -38,7 +38,7 @@ int main() {
     if (f.verdict != analyze::Verdict::open) continue;
     std::printf("reopened: %s — close again by hardening:",
                 core::to_string(f.kind));
-    for (const std::string& knob : f.minimal_hardening) {
+    for (const std::string& knob : f.minimal_hardening.names()) {
       std::printf(" %s", knob.c_str());
     }
     std::printf("\n");

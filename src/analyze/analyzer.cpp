@@ -1,12 +1,12 @@
 #include "analyze/analyzer.h"
 
-#include <cassert>
-
-#include "common/strings.h"
+#include <bit>
+#include <cstdint>
+#include <span>
+#include <utility>
 
 namespace heus::analyze {
 
-using common::strformat;
 using core::ChannelKind;
 using core::SeparationPolicy;
 
@@ -39,8 +39,11 @@ bool ubf_governs(const SeparationPolicy& p, const TopologyFacts& f) {
 /// Is the channel crossable by the observer under (policy, facts)?
 /// This is the static mirror of LeakageAuditor's probe outcomes; the
 /// differential test in tests/analyze holds the two to exact agreement.
-bool crossable(const SeparationPolicy& p, const TopologyFacts& f,
-               ChannelKind kind) {
+/// Always inlined, so that crossable_set's constant kinds fold the
+/// switch away.
+[[gnu::always_inline]] inline bool crossable(const SeparationPolicy& p,
+                                             const TopologyFacts& f,
+                                             ChannelKind kind) {
   const bool hidepid_exempt =
       f.observer_support_staff && p.hidepid_gid_exemption;
   switch (kind) {
@@ -107,15 +110,44 @@ bool crossable(const SeparationPolicy& p, const TopologyFacts& f,
   return false;
 }
 
-}  // namespace
+/// A set of channels, bit i for the channel whose ChannelKind value is i.
+using ChannelSet = std::uint32_t;
+constexpr std::size_t kChannels = core::kAllChannels.size();
+static_assert(kChannels <= 32, "ChannelSet holds one bit per channel");
+static_assert(
+    [] {
+      for (std::size_t i = 0; i < kChannels; ++i) {
+        if (static_cast<std::size_t>(core::kAllChannels[i]) != i) {
+          return false;
+        }
+      }
+      return true;
+    }(),
+    "findings are indexed by ChannelKind, in kAllChannels order");
 
-const ChannelFinding& AnalysisReport::finding(ChannelKind kind) const {
-  for (const ChannelFinding& f : findings) {
-    if (f.kind == kind) return f;
-  }
-  assert(false && "findings cover every ChannelKind");
-  return findings.front();
+/// crossable() for every channel at once. Each term passes a constant
+/// kind, so the whole set is a few loads and logic operations.
+ChannelSet crossable_set(const SeparationPolicy& p, const TopologyFacts& f) {
+  return [&]<std::size_t... I>(std::index_sequence<I...>) {
+    return ((ChannelSet{crossable(p, f, core::kAllChannels[I])} << I) | ...);
+  }(std::make_index_sequence<kChannels>{});
 }
+
+Verdict verdict_of(bool crosses, ChannelKind kind) {
+  if (!crosses) return Verdict::closed;
+  return core::is_documented_residual(kind) ? Verdict::residual
+                                            : Verdict::open;
+}
+
+/// Calls `fn(index)` for every member of `set`, lowest first.
+template <typename Fn>
+void for_each_channel(ChannelSet set, Fn&& fn) {
+  for (; set != 0; set &= set - 1) {
+    fn(static_cast<std::size_t>(std::countr_zero(set)));
+  }
+}
+
+}  // namespace
 
 std::size_t AnalysisReport::crossable_count() const {
   std::size_t n = 0;
@@ -143,9 +175,7 @@ std::vector<ChannelKind> AnalysisReport::residual_set() const {
 
 Verdict StaticAnalyzer::verdict(const SeparationPolicy& policy,
                                 ChannelKind kind) const {
-  if (!crossable(policy, facts_, kind)) return Verdict::closed;
-  return core::is_documented_residual(kind) ? Verdict::residual
-                                            : Verdict::open;
+  return verdict_of(crossable(policy, facts_, kind), kind);
 }
 
 AnalysisReport StaticAnalyzer::analyze(
@@ -153,46 +183,56 @@ AnalysisReport StaticAnalyzer::analyze(
   AnalysisReport report;
   report.policy = policy;
   report.facts = facts_;
-  report.findings.reserve(core::kAllChannels.size());
-  for (ChannelKind kind : core::kAllChannels) {
-    ChannelFinding f;
-    f.kind = kind;
-    f.verdict = verdict(policy, kind);
-    f.explanation = explain(policy, kind, f.verdict);
-    // Load-bearing knobs, by construction: a knob is responsible iff
-    // flipping it (alone) flips the verdict between crossable and closed.
-    for (const KnobSpec& knob : knobs()) {
-      const Verdict flipped = verdict(flip_knob(policy, knob), kind);
-      if (is_crossable(flipped) != is_crossable(f.verdict)) {
-        f.responsible_knobs.emplace_back(knob.name);
-      }
-    }
-    if (f.verdict == Verdict::open) {
-      f.minimal_hardening = minimal_hardening(policy, kind);
-    }
-    report.findings.push_back(std::move(f));
+  const ChannelSet base = crossable_set(policy, facts_);
+  ChannelSet open = 0;
+  for (std::size_t c = 0; c < kChannels; ++c) {
+    ChannelFinding& f = report.findings[c];
+    f.kind = core::kAllChannels[c];
+    f.verdict = verdict_of((base >> c & 1) != 0, f.kind);
+    f.explanation = explain(policy, f.kind, f.verdict);
+    if (f.verdict == Verdict::open) open |= ChannelSet{1} << c;
   }
+
+  // Load-bearing knobs, by definition: a knob is responsible for every
+  // channel whose crossability its single flip changes.
+  const std::span<const KnobSpec> registry = knobs();
+  for (std::size_t k = 0; k < registry.size(); ++k) {
+    const ChannelSet changed =
+        base ^ crossable_set(flip_knob(policy, registry[k]), facts_);
+    for_each_channel(changed, [&](std::size_t c) {
+      report.findings[c].responsible_knobs.insert(k);
+    });
+  }
+
+  // One hardening search for every open channel: the candidates (the
+  // knobs not yet hardened, registry order) are the same for all of
+  // them, so each channel gets the first trial subset that closes it,
+  // and the search stops once none is left waiting.
+  if (open == 0) return report;
+  std::array<const KnobSpec*, KnobSet::kCapacity> moves{};
+  std::size_t n = 0;
+  for (const KnobSpec& knob : registry) {
+    if (!knob.is_hardened(policy)) moves[n++] = &knob;
+  }
+  ChannelSet waiting = open;
+  (void)first_knob_subset(
+      std::span(moves.data(), n),
+      [&](std::span<const KnobSpec* const> subset) {
+        SeparationPolicy p = policy;
+        for (const KnobSpec* knob : subset) knob->set(p, true);
+        const ChannelSet closed = waiting & ~crossable_set(p, facts_);
+        if (closed == 0) return false;
+        const KnobSet found = KnobSet::of(subset);
+        for_each_channel(closed, [&](std::size_t c) {
+          report.findings[c].minimal_hardening = found;
+        });
+        waiting &= ~closed;
+        return waiting == 0;
+      });
   return report;
 }
 
-std::vector<std::string> StaticAnalyzer::minimal_hardening(
-    const SeparationPolicy& policy, ChannelKind kind) const {
-  // Candidate moves: harden any knob not already at its hardened value.
-  std::vector<const KnobSpec*> moves;
-  for (const KnobSpec& knob : knobs()) {
-    if (!knob.is_hardened(policy)) moves.push_back(&knob);
-  }
-  // Empty when not closable by hardening (shouldn't happen: residuals
-  // never reach here and every open channel has a knob).
-  return first_knob_subset(
-      moves, [&](std::span<const KnobSpec* const> subset) {
-        SeparationPolicy p = policy;
-        for (const KnobSpec* knob : subset) knob->set(p, true);
-        return verdict(p, kind) == Verdict::closed;
-      });
-}
-
-std::string StaticAnalyzer::explain(const SeparationPolicy& p,
+const char* StaticAnalyzer::explain(const SeparationPolicy& p,
                                     ChannelKind kind,
                                     Verdict verdict) const {
   const bool exempt =
@@ -203,24 +243,31 @@ std::string StaticAnalyzer::explain(const SeparationPolicy& p,
         return "observer is in the seepid staff group and the gid= mount "
                "flag exempts it from hidepid";
       }
-      return verdict == Verdict::closed
-                 ? "hidepid=2 removes foreign pid directories from /proc "
-                   "entirely"
-                 : strformat("hidepid=%d leaves foreign pid directories "
-                             "statable, so the victim's pids (and their "
-                             "uids) enumerate",
-                             static_cast<int>(p.hidepid));
+      // Not exempt, so open means hidepid is 0 or 1.
+      if (verdict == Verdict::closed) {
+        return "hidepid=2 removes foreign pid directories from /proc "
+               "entirely";
+      }
+      return p.hidepid == simos::HidepidMode::off
+                 ? "hidepid=0 leaves foreign pid directories statable, so "
+                   "the victim's pids (and their uids) enumerate"
+                 : "hidepid=1 leaves foreign pid directories statable, so "
+                   "the victim's pids (and their uids) enumerate";
     case ChannelKind::procfs_cmdline:
       if (exempt) {
         return "observer is in the seepid staff group and the gid= mount "
                "flag exempts it from hidepid";
       }
-      return verdict == Verdict::closed
-                 ? strformat("hidepid=%d protects /proc/<pid> contents "
-                             "(cmdline, status) of foreign processes",
-                             static_cast<int>(p.hidepid))
-                 : "hidepid=0 leaves /proc/<pid>/cmdline of every user "
-                   "world-readable, secrets in argv included";
+      // Not exempt, so closed means hidepid is 1 or 2.
+      if (verdict != Verdict::closed) {
+        return "hidepid=0 leaves /proc/<pid>/cmdline of every user "
+               "world-readable, secrets in argv included";
+      }
+      return p.hidepid == simos::HidepidMode::restrict_contents
+                 ? "hidepid=1 protects /proc/<pid> contents (cmdline, "
+                   "status) of foreign processes"
+                 : "hidepid=2 protects /proc/<pid> contents (cmdline, "
+                   "status) of foreign processes";
     case ChannelKind::scheduler_queue:
       if (facts_.observer_operator) {
         return "observer holds the Slurm Operator privilege, which is "

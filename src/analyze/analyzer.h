@@ -8,7 +8,8 @@
 // before deployment: each ChannelKind gets a verdict derived from the
 // knobs (plus lightweight topology facts), an explanation naming the
 // load-bearing knob(s), and — for unexpectedly-open channels — the
-// smallest knob set that would close it.
+// smallest knob set that would close it. A census allocates nothing: its
+// text is static and its knob lists are registry bitsets.
 //
 // Correctness is established differentially: tests/analyze sweeps policy
 // space and asserts these verdicts agree with LeakageAuditor::audit_pair
@@ -16,7 +17,7 @@
 // oracle over the simulation and the simulation over the analyzer.
 #pragma once
 
-#include <string>
+#include <array>
 #include <vector>
 
 #include "analyze/policy_space.h"
@@ -62,25 +63,33 @@ struct TopologyFacts {
 struct ChannelFinding {
   core::ChannelKind kind{};
   Verdict verdict = Verdict::closed;
-  /// Prose: which mechanism decides this verdict under the given policy.
-  std::string explanation;
+  /// Static prose: which mechanism decides this verdict under the given
+  /// policy.
+  const char* explanation = "";
   /// Knobs that are individually load-bearing: flipping any ONE of them
-  /// (between its baseline and hardened endpoint) flips the verdict.
-  /// Empty for structurally-decided channels (residuals) and for verdicts
-  /// held by more than one independent mechanism at once.
-  std::vector<std::string> responsible_knobs;
-  /// Smallest knob set whose hardening closes the channel; empty unless
-  /// verdict == open. (Residual channels have no closing knob set.)
-  std::vector<std::string> minimal_hardening;
+  /// (between its baseline and hardened endpoint) flips the channel
+  /// between crossable and closed. Exactly those knobs, by definition,
+  /// so empty for structurally-decided channels (residuals) and for
+  /// verdicts held by more than one independent mechanism at once.
+  KnobSet responsible_knobs;
+  /// Smallest knob set whose hardening closes the channel: the first
+  /// subset of the policy's unhardened knobs, in first_knob_subset's
+  /// order, that does. Empty unless verdict == open (residual channels
+  /// have no closing knob set), and empty when no subset of up to three
+  /// knobs closes it.
+  KnobSet minimal_hardening;
 };
 
 /// Full census for one policy.
 struct AnalysisReport {
   core::SeparationPolicy policy;
   TopologyFacts facts;
-  std::vector<ChannelFinding> findings;  ///< kAllChannels order
+  /// One finding per channel, indexed by ChannelKind (kAllChannels order).
+  std::array<ChannelFinding, core::kAllChannels.size()> findings;
 
-  [[nodiscard]] const ChannelFinding& finding(core::ChannelKind kind) const;
+  [[nodiscard]] const ChannelFinding& finding(core::ChannelKind kind) const {
+    return findings[static_cast<std::size_t>(kind)];
+  }
   [[nodiscard]] std::size_t crossable_count() const;
   /// Open channels the paper does NOT excuse — policy failures. Zero is
   /// the pass criterion for the pre-submit gate.
@@ -94,23 +103,24 @@ class StaticAnalyzer {
 
   [[nodiscard]] const TopologyFacts& facts() const { return facts_; }
 
-  /// The verdict function itself: pure, allocation-free, O(1) per
-  /// channel. Everything else in this class is derived from it.
+  /// The verdict for one channel: pure, allocation-free, O(1). It reads
+  /// the same per-channel crossability rules analyze() evaluates for all
+  /// channels at once, so the two always agree; the lattice sweeps that
+  /// need one channel at a time call this.
   [[nodiscard]] Verdict verdict(const core::SeparationPolicy& policy,
                                 core::ChannelKind kind) const;
 
-  /// Full census with explanations and minimal hardening suggestions.
+  /// Full census with explanations and minimal hardening suggestions,
+  /// from 16 evaluations of every channel (the policy and each of its
+  /// single-knob flips) plus one hardening search shared by all open
+  /// channels. Allocates nothing.
   [[nodiscard]] AnalysisReport analyze(
       const core::SeparationPolicy& policy) const;
 
  private:
-  [[nodiscard]] std::string explain(const core::SeparationPolicy& policy,
+  [[nodiscard]] const char* explain(const core::SeparationPolicy& policy,
                                     core::ChannelKind kind,
                                     Verdict verdict) const;
-  /// Brute-force search over hardening moves for the smallest knob set
-  /// that closes `kind`, trying subsets of size 1, then 2, then 3.
-  [[nodiscard]] std::vector<std::string> minimal_hardening(
-      const core::SeparationPolicy& policy, core::ChannelKind kind) const;
 
   TopologyFacts facts_;
 };

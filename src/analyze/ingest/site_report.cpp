@@ -98,8 +98,8 @@ namespace {
 /// knobs when attribution found any, the minimal hardening set for
 /// multi-knob open channels, the channel's primary knob otherwise.
 std::vector<std::string> cited_knobs(const ChannelFinding& f) {
-  if (!f.responsible_knobs.empty()) return f.responsible_knobs;
-  if (!f.minimal_hardening.empty()) return f.minimal_hardening;
+  if (!f.responsible_knobs.empty()) return f.responsible_knobs.names();
+  if (!f.minimal_hardening.empty()) return f.minimal_hardening.names();
   return {primary_knob(f.kind)};
 }
 
@@ -183,11 +183,11 @@ std::string to_markdown(const SiteReview& review) {
     for (const ChannelFinding& f : node.analysis.findings) {
       if (f.verdict != Verdict::open) continue;
       out += strformat("- `%s` **OPEN** — %s [%s]\n",
-                       core::to_string(f.kind), f.explanation.c_str(),
+                       core::to_string(f.kind), f.explanation,
                        citation(ingested, f).c_str());
       if (!f.minimal_hardening.empty()) {
         std::vector<std::string> fixes;
-        for (const std::string& knob : f.minimal_hardening) {
+        for (const std::string& knob : f.minimal_hardening.names()) {
           fixes.push_back(strformat(
               "`%s` (currently set at %s)", knob.c_str(),
               ingested.where(knob).to_string().c_str()));

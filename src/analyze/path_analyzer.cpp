@@ -112,11 +112,11 @@ std::vector<std::string> PathAnalyzer::minimal_cut(
   };
 
   // Exhaustive over small cuts.
-  std::vector<std::string> small = first_knob_subset(
+  const KnobSet small = first_knob_subset(
       candidates, [&](std::span<const KnobSpec* const> cut) {
         return remaining(cut) == 0;
       });
-  if (!small.empty()) return small;
+  if (!small.empty()) return small.names();
 
   // Greedy set cover with pair lookahead (an AND-gated pair makes no
   // progress one knob at a time), then prune redundant members.

@@ -1,6 +1,7 @@
 #include "analyze/policy_space.h"
 
 #include <cassert>
+#include <iterator>
 #include <string_view>
 
 #include "common/strings.h"
@@ -16,78 +17,93 @@ namespace {
 // Shorthand for the registry table below.
 using P = SeparationPolicy;
 
-const std::vector<KnobSpec>& registry() {
-  static const std::vector<KnobSpec> specs = {
-      // §IV-A processes
-      {knob::hidepid, "mount /proc with hidepid=2 (foreign pids invisible)",
-       [](const P& p) { return p.hidepid == simos::HidepidMode::invisible; },
-       [](P& p, bool h) {
-         p.hidepid =
-             h ? simos::HidepidMode::invisible : simos::HidepidMode::off;
-       }},
-      {knob::hidepid_gid_exemption,
-       "gid= mount flag: seepid staff group exempt from hidepid",
-       [](const P& p) { return p.hidepid_gid_exemption; },
-       [](P& p, bool h) { p.hidepid_gid_exemption = h; }},
-      // §IV-B scheduler
-      {knob::private_data_jobs, "squeue shows only the caller's jobs",
-       [](const P& p) { return p.private_data.jobs; },
-       [](P& p, bool h) { p.private_data.jobs = h; }},
-      {knob::private_data_accounting, "sacct shows only the caller's records",
-       [](const P& p) { return p.private_data.accounting; },
-       [](P& p, bool h) { p.private_data.accounting = h; }},
-      {knob::private_data_usage, "sreport shows only the caller's usage",
-       [](const P& p) { return p.private_data.usage; },
-       [](P& p, bool h) { p.private_data.usage = h; }},
-      {knob::sharing, "user-based whole-node scheduling",
-       [](const P& p) {
-         return p.sharing == sched::SharingPolicy::user_whole_node;
-       },
-       [](P& p, bool h) {
-         p.sharing = h ? sched::SharingPolicy::user_whole_node
-                       : sched::SharingPolicy::shared;
-       }},
-      {knob::pam_slurm, "ssh only to nodes where the user has a running job",
-       [](const P& p) { return p.pam_slurm; },
-       [](P& p, bool h) { p.pam_slurm = h; }},
-      // §IV-C filesystems
-      {knob::fs_enforce_smask, "kernel smask patch installed",
-       [](const P& p) { return p.fs.enforce_smask; },
-       [](P& p, bool h) { p.fs.enforce_smask = h; }},
-      {knob::fs_honor_smask, "Lustre LU-4746 patch: filesystem honors smask",
-       [](const P& p) { return p.fs.honor_smask; },
-       [](P& p, bool h) { p.fs.honor_smask = h; }},
-      {knob::fs_restrict_acl,
-       "setfacl restricted to member groups, no named-user grants",
-       [](const P& p) { return p.fs.restrict_acl; },
-       [](P& p, bool h) { p.fs.restrict_acl = h; }},
-      {knob::root_owned_homes, "homes root-owned, group = UPG, mode 0770",
-       [](const P& p) { return p.root_owned_homes; },
-       [](P& p, bool h) { p.root_owned_homes = h; }},
-      // §IV-D network
-      {knob::ubf, "user-based firewall attached to the nfqueue hook",
-       [](const P& p) { return p.ubf; },
-       [](P& p, bool h) { p.ubf = h; }},
-      {knob::ubf_group_peers, "UBF rule (b): egid project-group peers allowed",
-       [](const P& p) { return p.ubf_group_peers; },
-       [](P& p, bool h) { p.ubf_group_peers = h; }},
-      // §IV-F accelerators
-      {knob::gpu_dev_binding, "/dev/nvidiaN chgrp'ed to the user's UPG on alloc",
-       [](const P& p) { return p.gpu_dev_binding; },
-       [](P& p, bool h) { p.gpu_dev_binding = h; }},
-      {knob::gpu_epilog_scrub, "vendor memory scrub in the job epilog",
-       [](const P& p) { return p.gpu_epilog_scrub; },
-       [](P& p, bool h) { p.gpu_epilog_scrub = h; }},
-  };
-  return specs;
-}
+constexpr KnobSpec kRegistry[] = {
+    // §IV-A processes
+    {knob::hidepid, "mount /proc with hidepid=2 (foreign pids invisible)",
+     [](const P& p) { return p.hidepid == simos::HidepidMode::invisible; },
+     [](P& p, bool h) {
+       p.hidepid =
+           h ? simos::HidepidMode::invisible : simos::HidepidMode::off;
+     }},
+    {knob::hidepid_gid_exemption,
+     "gid= mount flag: seepid staff group exempt from hidepid",
+     [](const P& p) { return p.hidepid_gid_exemption; },
+     [](P& p, bool h) { p.hidepid_gid_exemption = h; }},
+    // §IV-B scheduler
+    {knob::private_data_jobs, "squeue shows only the caller's jobs",
+     [](const P& p) { return p.private_data.jobs; },
+     [](P& p, bool h) { p.private_data.jobs = h; }},
+    {knob::private_data_accounting, "sacct shows only the caller's records",
+     [](const P& p) { return p.private_data.accounting; },
+     [](P& p, bool h) { p.private_data.accounting = h; }},
+    {knob::private_data_usage, "sreport shows only the caller's usage",
+     [](const P& p) { return p.private_data.usage; },
+     [](P& p, bool h) { p.private_data.usage = h; }},
+    {knob::sharing, "user-based whole-node scheduling",
+     [](const P& p) {
+       return p.sharing == sched::SharingPolicy::user_whole_node;
+     },
+     [](P& p, bool h) {
+       p.sharing = h ? sched::SharingPolicy::user_whole_node
+                     : sched::SharingPolicy::shared;
+     }},
+    {knob::pam_slurm, "ssh only to nodes where the user has a running job",
+     [](const P& p) { return p.pam_slurm; },
+     [](P& p, bool h) { p.pam_slurm = h; }},
+    // §IV-C filesystems
+    {knob::fs_enforce_smask, "kernel smask patch installed",
+     [](const P& p) { return p.fs.enforce_smask; },
+     [](P& p, bool h) { p.fs.enforce_smask = h; }},
+    {knob::fs_honor_smask, "Lustre LU-4746 patch: filesystem honors smask",
+     [](const P& p) { return p.fs.honor_smask; },
+     [](P& p, bool h) { p.fs.honor_smask = h; }},
+    {knob::fs_restrict_acl,
+     "setfacl restricted to member groups, no named-user grants",
+     [](const P& p) { return p.fs.restrict_acl; },
+     [](P& p, bool h) { p.fs.restrict_acl = h; }},
+    {knob::root_owned_homes, "homes root-owned, group = UPG, mode 0770",
+     [](const P& p) { return p.root_owned_homes; },
+     [](P& p, bool h) { p.root_owned_homes = h; }},
+    // §IV-D network
+    {knob::ubf, "user-based firewall attached to the nfqueue hook",
+     [](const P& p) { return p.ubf; },
+     [](P& p, bool h) { p.ubf = h; }},
+    {knob::ubf_group_peers, "UBF rule (b): egid project-group peers allowed",
+     [](const P& p) { return p.ubf_group_peers; },
+     [](P& p, bool h) { p.ubf_group_peers = h; }},
+    // §IV-F accelerators
+    {knob::gpu_dev_binding, "/dev/nvidiaN chgrp'ed to the user's UPG on alloc",
+     [](const P& p) { return p.gpu_dev_binding; },
+     [](P& p, bool h) { p.gpu_dev_binding = h; }},
+    {knob::gpu_epilog_scrub, "vendor memory scrub in the job epilog",
+     [](const P& p) { return p.gpu_epilog_scrub; },
+     [](P& p, bool h) { p.gpu_epilog_scrub = h; }},
+};
+static_assert(std::size(kRegistry) <= KnobSet::kCapacity,
+              "KnobSet holds one bit per registry knob: widen it first");
 
 }  // namespace
 
-const std::vector<KnobSpec>& knobs() { return registry(); }
+std::span<const KnobSpec> knobs() { return kRegistry; }
+
+KnobSet KnobSet::of(std::span<const KnobSpec* const> picks) {
+  KnobSet set;
+  for (const KnobSpec* k : picks) {
+    set.insert(static_cast<std::size_t>(k - kRegistry));
+  }
+  return set;
+}
+
+std::vector<std::string> KnobSet::names() const {
+  std::vector<std::string> out;
+  for (std::size_t i = 0; i < std::size(kRegistry); ++i) {
+    if ((bits_ >> i & 1) != 0) out.emplace_back(kRegistry[i].name);
+  }
+  return out;
+}
 
 const KnobSpec* find_knob(const std::string& name) {
-  for (const KnobSpec& k : registry()) {
+  for (const KnobSpec& k : kRegistry) {
     if (name == k.name) return &k;
   }
   return nullptr;
@@ -101,8 +117,8 @@ SeparationPolicy flip_knob(SeparationPolicy p, const KnobSpec& knob) {
 std::vector<NamedPolicy> single_knob_ablations(
     const std::string& base_name, const SeparationPolicy& base) {
   std::vector<NamedPolicy> out;
-  out.reserve(registry().size());
-  for (const KnobSpec& k : registry()) {
+  out.reserve(std::size(kRegistry));
+  for (const KnobSpec& k : kRegistry) {
     out.push_back({base_name + "~" + k.name, flip_knob(base, k)});
   }
   return out;
@@ -171,8 +187,8 @@ std::string knob_value(const SeparationPolicy& p, const KnobSpec& knob) {
 std::vector<std::pair<std::string, std::string>> knob_assignments(
     const SeparationPolicy& p) {
   std::vector<std::pair<std::string, std::string>> out;
-  out.reserve(registry().size());
-  for (const KnobSpec& k : registry()) {
+  out.reserve(std::size(kRegistry));
+  for (const KnobSpec& k : kRegistry) {
     out.emplace_back(k.name, knob_value(p, k));
   }
   return out;
@@ -180,7 +196,7 @@ std::vector<std::pair<std::string, std::string>> knob_assignments(
 
 std::size_t policy_space_size() {
   // Two 3-valued enum knobs; every other registry knob is boolean.
-  return 3 * 3 * (std::size_t{1} << (registry().size() - 2));
+  return 3 * 3 * (std::size_t{1} << (std::size(kRegistry) - 2));
 }
 
 SeparationPolicy policy_at(std::size_t index) {
@@ -194,7 +210,7 @@ SeparationPolicy policy_at(std::size_t index) {
     default: p.sharing = sched::SharingPolicy::user_whole_node; break;
   }
   index /= 3;
-  for (const KnobSpec& k : registry()) {
+  for (const KnobSpec& k : kRegistry) {
     const std::string_view name = k.name;
     if (name == knob::hidepid || name == knob::sharing) continue;
     k.set(p, (index & 1) != 0);

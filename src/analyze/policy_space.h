@@ -9,6 +9,7 @@
 #pragma once
 
 #include <array>
+#include <cstdint>
 #include <optional>
 #include <span>
 #include <string>
@@ -33,7 +34,29 @@ struct KnobSpec {
 };
 
 /// The full registry, in paper-section order (§IV-A … §IV-F).
-[[nodiscard]] const std::vector<KnobSpec>& knobs();
+[[nodiscard]] std::span<const KnobSpec> knobs();
+
+/// A set of registry knobs, one bit per knob by registry index. It holds
+/// no names, so building or copying one never allocates; names() spells
+/// it out. The registry is held to kCapacity knobs at compile time, so
+/// no knob can fall off the end.
+class KnobSet {
+ public:
+  static constexpr std::size_t kCapacity = 32;
+
+  /// The set of `picks`, which point into knobs().
+  [[nodiscard]] static KnobSet of(std::span<const KnobSpec* const> picks);
+
+  void insert(std::size_t index) { bits_ |= std::uint32_t{1} << index; }
+  [[nodiscard]] bool empty() const { return bits_ == 0; }
+  /// The members' names, in registry order.
+  [[nodiscard]] std::vector<std::string> names() const;
+
+  friend bool operator==(KnobSet, KnobSet) = default;
+
+ private:
+  std::uint32_t bits_ = 0;
+};
 
 /// Registry lookup by name; nullptr when unknown.
 [[nodiscard]] const KnobSpec* find_knob(const std::string& name);
@@ -43,13 +66,13 @@ struct KnobSpec {
 [[nodiscard]] core::SeparationPolicy flip_knob(core::SeparationPolicy p,
                                                const KnobSpec& knob);
 
-/// The names of the first subset of `candidates` for which
+/// The first subset of `candidates` (pointers into knobs()) for which
 /// `accept(std::span<const KnobSpec* const>)` holds: every subset of
 /// size 1, then 2, then 3, each size in lexicographic candidate order.
 /// Empty when no subset of size <= 3 is accepted. Every trial reuses
-/// one fixed buffer, so the search allocates nothing per trial.
+/// one fixed buffer, so the search allocates nothing.
 template <typename Accept>
-[[nodiscard]] std::vector<std::string> first_knob_subset(
+[[nodiscard]] KnobSet first_knob_subset(
     std::span<const KnobSpec* const> candidates, Accept&& accept) {
   const std::size_t n = candidates.size();
   std::array<std::size_t, 3> at{};
@@ -59,11 +82,7 @@ template <typename Accept>
     for (;;) {
       for (std::size_t i = 0; i < size; ++i) pick[i] = candidates[at[i]];
       const std::span<const KnobSpec* const> subset(pick.data(), size);
-      if (accept(subset)) {
-        std::vector<std::string> names;
-        for (const KnobSpec* k : subset) names.emplace_back(k->name);
-        return names;
-      }
+      if (accept(subset)) return KnobSet::of(subset);
       // Next combination: bump the rightmost index that has room.
       std::size_t i = size;
       while (i > 0 && at[i - 1] == n - (size - i) - 1) --i;

@@ -291,8 +291,8 @@ void sweep_policy(MachineScan& scan, const core::SeparationPolicy& policy,
               : "";
       if (knob.empty()) {
         const AnalysisReport rep = analyzer.analyze(policy);
-        const auto& resp = rep.finding(ch).responsible_knobs;
-        if (!resp.empty()) knob = common::join(resp, ", ");
+        const KnobSet resp = rep.finding(ch).responsible_knobs;
+        if (!resp.empty()) knob = common::join(resp.names(), ", ");
       }
       findings.push_back(
           {ReachFindingKind::separation_opening, def.name,

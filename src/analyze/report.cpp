@@ -9,10 +9,9 @@ using common::strformat;
 
 namespace {
 
-std::string join_names(const std::vector<std::string>& names,
-                       const char* empty) {
-  if (names.empty()) return empty;
-  return common::join(names, ", ");
+std::string join_names(KnobSet knobs, const char* empty) {
+  if (knobs.empty()) return empty;
+  return common::join(knobs.names(), ", ");
 }
 
 }  // namespace
@@ -32,7 +31,7 @@ std::string to_markdown(const AnalysisReport& report) {
                      core::to_string(f.kind), core::channel_section(f.kind),
                      verdict,
                      join_names(f.responsible_knobs, "—").c_str(),
-                     f.explanation.c_str());
+                     f.explanation);
   }
   out += strformat(
       "\ncrossable: %zu / %zu (unexpected open: %zu, residual: %zu)\n",
@@ -75,8 +74,8 @@ common::Json to_json(const AnalysisReport& report) {
         .set("section", core::channel_section(f.kind))
         .set("verdict", to_string(f.verdict))
         .set("explanation", f.explanation)
-        .set("responsible_knobs", f.responsible_knobs)
-        .set("minimal_hardening", f.minimal_hardening);
+        .set("responsible_knobs", f.responsible_knobs.names())
+        .set("minimal_hardening", f.minimal_hardening.names());
     channels.push(std::move(row));
   }
   Json summary = Json::object().compact();

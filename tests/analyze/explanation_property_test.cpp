@@ -45,7 +45,7 @@ TEST(ExplanationSoundness, ResponsibleKnobsAreLoadBearing) {
        differential_sweep(kRandomPolicies, kSweepSeed)) {
     const AnalysisReport report = analyzer.analyze(np.policy);
     for (const ChannelFinding& f : report.findings) {
-      for (const std::string& name : f.responsible_knobs) {
+      for (const std::string& name : f.responsible_knobs.names()) {
         const KnobSpec* knob = find_knob(name);
         ASSERT_NE(knob, nullptr) << name;
         const Verdict flipped =
@@ -70,24 +70,25 @@ TEST(ExplanationSoundness, MinimalHardeningClosesAndIsMinimal) {
             << core::to_string(f.kind) << " under " << np.name;
         continue;
       }
-      ASSERT_FALSE(f.minimal_hardening.empty())
+      const std::vector<std::string> suggestion =
+          f.minimal_hardening.names();
+      ASSERT_FALSE(suggestion.empty())
           << core::to_string(f.kind) << " open under " << np.name
           << " with no hardening suggestion";
       // The full suggestion closes the channel...
-      const core::SeparationPolicy closed = harden_knobs(
-          np.policy, f.minimal_hardening, f.minimal_hardening.size());
+      const core::SeparationPolicy closed =
+          harden_knobs(np.policy, suggestion, suggestion.size());
       EXPECT_EQ(analyzer.verdict(closed, f.kind), Verdict::closed)
           << core::to_string(f.kind) << " under " << np.name;
       // ...and dropping any one knob from it does not.
-      for (std::size_t skip = 0; skip < f.minimal_hardening.size();
-           ++skip) {
-        if (f.minimal_hardening.size() == 1) break;  // subset is empty
+      for (std::size_t skip = 0; skip < suggestion.size(); ++skip) {
+        if (suggestion.size() == 1) break;  // subset is empty
         const core::SeparationPolicy partial =
-            harden_knobs(np.policy, f.minimal_hardening, skip);
+            harden_knobs(np.policy, suggestion, skip);
         EXPECT_NE(analyzer.verdict(partial, f.kind), Verdict::closed)
             << core::to_string(f.kind) << " under " << np.name
-            << ": suggestion not minimal (dropping "
-            << f.minimal_hardening[skip] << " still closes)";
+            << ": suggestion not minimal (dropping " << suggestion[skip]
+            << " still closes)";
       }
     }
   }

@@ -45,22 +45,24 @@ TEST(StaticAnalyzer, MinimalHardeningSuggestions) {
   const StaticAnalyzer analyzer;
   const AnalysisReport report =
       analyzer.analyze(SeparationPolicy::baseline());
+  auto hardening = [&](ChannelKind kind) {
+    return report.finding(kind).minimal_hardening.names();
+  };
 
   // A single knob suffices for the network channels...
-  EXPECT_EQ(report.finding(ChannelKind::tcp_cross_user).minimal_hardening,
+  EXPECT_EQ(hardening(ChannelKind::tcp_cross_user),
             std::vector<std::string>{"ubf"});
-  EXPECT_EQ(
-      report.finding(ChannelKind::portal_foreign_app).minimal_hardening,
-      std::vector<std::string>{"ubf"});
+  EXPECT_EQ(hardening(ChannelKind::portal_foreign_app),
+            std::vector<std::string>{"ubf"});
   // ...and for the home leak (root-owned homes beats the 2-knob smask).
-  EXPECT_EQ(report.finding(ChannelKind::fs_home_read).minimal_hardening,
+  EXPECT_EQ(hardening(ChannelKind::fs_home_read),
             std::vector<std::string>{"root_owned_homes"});
   // /tmp content is only closable by the smask pair: kernel patch AND the
   // filesystem honoring it (the LU-4746 interplay).
   EXPECT_EQ(
-      report.finding(ChannelKind::fs_tmp_content).minimal_hardening,
+      hardening(ChannelKind::fs_tmp_content),
       (std::vector<std::string>{"fs.enforce_smask", "fs.honor_smask"}));
-  EXPECT_EQ(report.finding(ChannelKind::gpu_residue).minimal_hardening,
+  EXPECT_EQ(hardening(ChannelKind::gpu_residue),
             std::vector<std::string>{"gpu_epilog_scrub"});
 }
 
@@ -68,21 +70,21 @@ TEST(StaticAnalyzer, ResponsibleKnobsAtTheEndpoints) {
   const StaticAnalyzer analyzer;
   const AnalysisReport hardened =
       analyzer.analyze(SeparationPolicy::hardened());
+  auto responsible = [&](ChannelKind kind) {
+    return hardened.finding(kind).responsible_knobs.names();
+  };
   // Under hardened(), each closed channel names the knob(s) holding it
   // closed — unless two mechanisms hold it at once (fs_home_read and
   // fs_acl_user_grant are doubly protected, so no single flip reopens).
-  EXPECT_EQ(hardened.finding(ChannelKind::ssh_foreign_node)
-                .responsible_knobs,
+  EXPECT_EQ(responsible(ChannelKind::ssh_foreign_node),
             std::vector<std::string>{"pam_slurm"});
-  EXPECT_EQ(hardened.finding(ChannelKind::gpu_residue).responsible_knobs,
+  EXPECT_EQ(responsible(ChannelKind::gpu_residue),
             std::vector<std::string>{"gpu_epilog_scrub"});
-  EXPECT_TRUE(
-      hardened.finding(ChannelKind::fs_home_read).responsible_knobs.empty());
-  EXPECT_TRUE(hardened.finding(ChannelKind::fs_acl_user_grant)
-                  .responsible_knobs.empty());
+  EXPECT_TRUE(responsible(ChannelKind::fs_home_read).empty());
+  EXPECT_TRUE(responsible(ChannelKind::fs_acl_user_grant).empty());
   // /tmp content: losing either smask flag reopens it.
   EXPECT_EQ(
-      hardened.finding(ChannelKind::fs_tmp_content).responsible_knobs,
+      responsible(ChannelKind::fs_tmp_content),
       (std::vector<std::string>{"fs.enforce_smask", "fs.honor_smask"}));
 }
 
@@ -163,13 +165,13 @@ TEST(PolicySpace, KnobRegistryRoundTrips) {
 // minimal_cut: every subset of size 1, then 2, then 3, each size in
 // lexicographic candidate order, and the first accepted one wins.
 TEST(PolicySpace, FirstKnobSubsetTriesSmallSubsetsInCandidateOrder) {
-  const std::vector<KnobSpec>& all = knobs();
+  const std::span<const KnobSpec> all = knobs();
   ASSERT_GE(all.size(), 4u);
   const std::vector<const KnobSpec*> four = {&all[0], &all[1], &all[2],
                                              &all[3]};
   auto index = [&](const KnobSpec* k) { return k - &all[0]; };
   std::vector<std::string> tried;
-  const std::vector<std::string> none =
+  const KnobSet none =
       first_knob_subset(four, [&](std::span<const KnobSpec* const> s) {
         std::string trial;
         for (const KnobSpec* k : s) trial += std::to_string(index(k));
@@ -183,11 +185,12 @@ TEST(PolicySpace, FirstKnobSubsetTriesSmallSubsetsInCandidateOrder) {
 
   // The smallest accepted size wins over any larger subset, and within
   // it the first subset in candidate order.
-  const std::vector<std::string> pair =
+  const KnobSet pair =
       first_knob_subset(four, [&](std::span<const KnobSpec* const> s) {
         return s.size() >= 2 && index(s.back()) == 3;
       });
-  EXPECT_EQ(pair, (std::vector<std::string>{all[0].name, all[3].name}));
+  EXPECT_EQ(pair.names(),
+            (std::vector<std::string>{all[0].name, all[3].name}));
 }
 
 TEST(PolicySpace, SetKnobFromString) {

@@ -57,11 +57,11 @@ TracedCensus traced_census(const core::SeparationPolicy& policy) {
   return out;
 }
 
-bool knob_is_responsible(const char* knob,
-                         const std::vector<std::string>& responsible) {
+bool knob_is_responsible(const char* knob, analyze::KnobSet responsible) {
   if (knob == nullptr) return false;
-  return std::find(responsible.begin(), responsible.end(),
-                   std::string(knob)) != responsible.end();
+  const std::vector<std::string> names = responsible.names();
+  return std::find(names.begin(), names.end(), std::string(knob)) !=
+         names.end();
 }
 
 TEST(DecisionOracle, EveryChannelVerdictIsCorroboratedWithAttribution) {
