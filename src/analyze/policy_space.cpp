@@ -1,5 +1,6 @@
 #include "analyze/policy_space.h"
 
+#include <array>
 #include <cassert>
 #include <iterator>
 #include <string_view>
@@ -81,6 +82,18 @@ constexpr KnobSpec kRegistry[] = {
 };
 static_assert(std::size(kRegistry) <= KnobSet::kCapacity,
               "KnobSet holds one bit per registry knob: widen it first");
+
+/// The registry's boolean knobs (all but hidepid and sharing), in
+/// registry order: policy_at decodes one index bit into each.
+constexpr auto kBoolKnobs = [] {
+  std::array<const KnobSpec*, std::size(kRegistry) - 2> out{};
+  std::size_t n = 0;
+  for (const KnobSpec& k : kRegistry) {
+    const std::string_view name = k.name;
+    if (name != knob::hidepid && name != knob::sharing) out.at(n++) = &k;
+  }
+  return out;
+}();
 
 }  // namespace
 
@@ -196,7 +209,7 @@ std::vector<std::pair<std::string, std::string>> knob_assignments(
 
 std::size_t policy_space_size() {
   // Two 3-valued enum knobs; every other registry knob is boolean.
-  return 3 * 3 * (std::size_t{1} << (std::size(kRegistry) - 2));
+  return 3 * 3 * (std::size_t{1} << kBoolKnobs.size());
 }
 
 SeparationPolicy policy_at(std::size_t index) {
@@ -210,10 +223,8 @@ SeparationPolicy policy_at(std::size_t index) {
     default: p.sharing = sched::SharingPolicy::user_whole_node; break;
   }
   index /= 3;
-  for (const KnobSpec& k : kRegistry) {
-    const std::string_view name = k.name;
-    if (name == knob::hidepid || name == knob::sharing) continue;
-    k.set(p, (index & 1) != 0);
+  for (const KnobSpec* k : kBoolKnobs) {
+    k->set(p, (index & 1) != 0);
     index >>= 1;
   }
   return p;
