@@ -20,6 +20,9 @@
 //  - The session path allocates only what it returns: a warm vfs `stat`
 //    nothing, a `read_file` its payload string, a /proc listing its pid
 //    vector.
+//  - The static census (StaticAnalyzer::analyze) allocates nothing: its
+//    explanations are static text, its knob lists registry bitsets and
+//    its findings a fixed array.
 //
 // Always writes BENCH_E26.json (override with --json=PATH); --smoke runs
 // reduced sizes for CI.
@@ -32,6 +35,8 @@
 #include <string>
 #include <vector>
 
+#include "analyze/analyzer.h"
+#include "analyze/policy_space.h"
 #include "bench/common/table.h"
 #include "common/clock.h"
 #include "common/rng.h"
@@ -466,6 +471,42 @@ void session_section(Json& results, bool smoke) {
   table.print();
 }
 
+// ---------------------------------------------------------------------------
+// E26f: the static census. One StaticAnalyzer::analyze call per policy of
+// the differential sweep (baseline, hardened, their 30 single-knob
+// ablations and 32 seeded random points).
+// ---------------------------------------------------------------------------
+
+void census_section(Json& results) {
+  print_banner(
+      "E26f: per-call heap traffic of the static census",
+      "StaticAnalyzer::analyze allocates nothing: static explanation text, "
+      "knob lists as registry bitsets, findings in a fixed array.");
+
+  const std::vector<analyze::NamedPolicy> sweep =
+      analyze::differential_sweep(32, 20240521);
+  const analyze::StaticAnalyzer analyzer;
+  std::size_t open = 0;
+  const Window w = measure([&] {
+    for (const analyze::NamedPolicy& np : sweep) {
+      open += analyzer.analyze(np.policy).unexpected_open_count();
+    }
+  });
+
+  const double calls = static_cast<double>(sweep.size());
+  Table table({"policies", "open findings", "allocs/call", "bytes/call",
+               "ns/call"});
+  table.add_row({std::to_string(sweep.size()), std::to_string(open),
+                 common::strformat("%.1f", static_cast<double>(w.allocs) /
+                                               calls),
+                 common::strformat("%.1f", static_cast<double>(w.bytes) /
+                                               calls),
+                 common::strformat("%.1f", w.wall_ns / calls)});
+  table.print();
+  results.set("census_policies", sweep.size());
+  results.set("alloc_census_allocs", static_cast<double>(w.allocs) / calls);
+}
+
 }  // namespace
 }  // namespace heus::bench
 
@@ -481,6 +522,7 @@ int main(int argc, char** argv) {
   heus::bench::trace_section(results, smoke);
   heus::bench::footprint_section(results);
   heus::bench::session_section(results, smoke);
+  heus::bench::census_section(results);
 
   results.set("smoke", smoke);
   return heus::bench::write_report("E26", std::move(results), path) ? 0 : 1;
