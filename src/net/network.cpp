@@ -63,23 +63,37 @@ void Network::clear_hook() { hook_ = nullptr; }
 
 void Network::enable_sharding(std::uint32_t groups,
                               std::vector<std::uint32_t> host_group) {
-  // Resharding a live flow table would have to re-tag every id; requiring
+  // Every check runs before any state changes, in every build type.
+  if (groups == 0) {
+    throw std::invalid_argument("enable_sharding: zero node groups");
+  }
+  for (const std::uint32_t g : host_group) {
+    // An entry of `groups` or more would file its host under the cross
+    // bucket (or past it).
+    if (g >= groups) {
+      throw std::invalid_argument(
+          "enable_sharding: host_group entry out of range");
+    }
+  }
+  // Resharding a live flow table would have to re-tag every id, and the
+  // per-host port indices would still name the dropped flows; requiring
   // an empty table keeps every id a pure function of the post-shard
   // workload.
-  assert(flow_count() == 0 && "enable_sharding requires an empty flow table");
-  assert(groups >= 1);
-  for ([[maybe_unused]] const std::uint32_t g : host_group) {
-    assert(g < groups);
+  if (flow_count() != 0) {
+    throw std::logic_error("enable_sharding requires an empty flow table");
+  }
+  // The freed-port rings park their storage in the old buckets' arenas;
+  // they are empty while no flow has ever closed, so their storage can
+  // simply be dropped before the arenas go away.
+  for (const HostState& hs : hosts_) {
+    if (!hs.freed_ports.empty()) {
+      throw std::logic_error(
+          "enable_sharding requires empty freed-port rings");
+    }
   }
   groups_ = groups;
   host_group_ = std::move(host_group);
-  // The freed-port rings park their storage in the old buckets' arenas;
-  // they are empty here (no flow has ever closed), so just drop the
-  // storage before the arenas go away.
-  for (HostState& hs : hosts_) {
-    assert(hs.freed_ports.empty());
-    hs.freed_ports = {};
-  }
+  for (HostState& hs : hosts_) hs.freed_ports = {};
   buckets_.clear();
   buckets_.resize(static_cast<std::size_t>(groups_) + 1);
 }

@@ -236,10 +236,13 @@ class Network {
   // ---- node-group sharding ---------------------------------------------
 
   /// Partition the fabric into `groups` node groups; `host_group[h]` is
-  /// the group of host h (every value < groups; hosts added later join
-  /// group 0). Must be called while no flows exist — typically right
-  /// after cluster assembly. Allocates groups+1 buckets (the last is the
-  /// cross-group bucket) and restarts every bucket-local flow counter.
+  /// the group of host h (hosts added later join group 0). Must be called
+  /// while no flows exist — typically right after cluster assembly.
+  /// Allocates groups+1 buckets (the last is the cross-group bucket) and
+  /// restarts every bucket-local flow counter. Throws, with nothing
+  /// changed, std::invalid_argument for zero groups or a host_group value
+  /// of `groups` or more, and std::logic_error while a flow is live or a
+  /// host's freed-port ring is not empty.
   void enable_sharding(std::uint32_t groups,
                        std::vector<std::uint32_t> host_group);
   [[nodiscard]] std::uint32_t group_count() const { return groups_; }

@@ -249,5 +249,51 @@ TEST(ShardedEngine, UbfAttachedBeforeShardingFailsTheTick) {
   EXPECT_EQ(engine.pool().failed_tasks(), 1u);
 }
 
+// The shard map is public input, so ShardedEngine checks it in every
+// build type: before the check, an entry equal to `groups` was accepted
+// and filed its host under the cross bucket.
+TEST(ShardedEngine, OutOfRangeHostGroupThrowsAndLeavesTheNetworkAlone) {
+  common::SimClock clock;
+  net::Network nw(&clock);
+  std::vector<HostId> hosts;
+  for (std::size_t h = 0; h < 4; ++h) {
+    hosts.push_back(nw.add_host("h" + std::to_string(h)));
+  }
+  ShardMap map = ShardMap::blocks(4, 2);
+  map.host_group[3] = map.groups;
+  EXPECT_THROW(ShardedEngine(&nw, &clock, map, EngineConfig{}),
+               std::invalid_argument);
+  EXPECT_EQ(nw.group_count(), 1u);
+  EXPECT_EQ(nw.group_of(hosts[3]), 0u);
+  EXPECT_THROW(nw.enable_sharding(0, {}), std::invalid_argument);
+  EXPECT_EQ(nw.group_count(), 1u);
+}
+
+// Sharding a network with a live flow used to drop the flow table while
+// the per-host port index still named the flow, so a later ident_lookup
+// on its client port dereferenced a missing flow.
+TEST(ShardedEngine, LiveFlowRefusesShardingInEveryBuild) {
+  common::SimClock clock;
+  net::Network nw(&clock);
+  const HostId client = nw.add_host("h0");
+  const HostId server = nw.add_host("h1");
+  simos::UserDb db;
+  const simos::Credentials alice =
+      *simos::login(db, *db.create_user("alice"));
+  ASSERT_TRUE(nw.listen(server, alice, Pid{2}, net::Proto::tcp, 5000));
+  const auto flow =
+      nw.connect(client, alice, Pid{1}, server, net::Proto::tcp, 5000);
+  ASSERT_TRUE(flow);
+  const std::uint16_t port = nw.find_flow(*flow)->client_port;
+
+  EXPECT_THROW(ShardedEngine(&nw, &clock, ShardMap::blocks(2, 2),
+                             EngineConfig{}),
+               std::logic_error);
+  EXPECT_EQ(nw.flow_count(), 1u);
+  const auto ident = nw.ident_lookup(client, net::Proto::tcp, port);
+  ASSERT_TRUE(ident);
+  EXPECT_EQ(ident->uid, alice.uid);
+}
+
 }  // namespace
 }  // namespace heus::core
