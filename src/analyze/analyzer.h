@@ -110,10 +110,10 @@ class StaticAnalyzer {
   [[nodiscard]] Verdict verdict(const core::SeparationPolicy& policy,
                                 core::ChannelKind kind) const;
 
-  /// Full census with explanations and minimal hardening suggestions,
-  /// from 16 evaluations of every channel (the policy and each of its
-  /// single-knob flips) plus one hardening search shared by all open
-  /// channels. Allocates nothing.
+  /// Full census with explanations and minimal hardening suggestions.
+  /// All channels are evaluated at once for the policy and for each of
+  /// its single-knob flips, and one hardening search serves every open
+  /// channel. Allocates nothing.
   [[nodiscard]] AnalysisReport analyze(
       const core::SeparationPolicy& policy) const;
 
