@@ -94,6 +94,8 @@ constexpr auto kBoolKnobs = [] {
   }
   return out;
 }();
+static_assert(kBoolKnobs.back() != nullptr,
+              "every registry knob but hidepid and sharing is boolean");
 
 }  // namespace
 
