@@ -250,8 +250,8 @@ TEST(ShardedEngine, UbfAttachedBeforeShardingFailsTheTick) {
 }
 
 // The shard map is public input, so ShardedEngine checks it in every
-// build type: before the check, an entry equal to `groups` was accepted
-// and filed its host under the cross bucket.
+// build type: an entry equal to `groups` would file its host under the
+// cross bucket.
 TEST(ShardedEngine, OutOfRangeHostGroupThrowsAndLeavesTheNetworkAlone) {
   common::SimClock clock;
   net::Network nw(&clock);
@@ -269,9 +269,9 @@ TEST(ShardedEngine, OutOfRangeHostGroupThrowsAndLeavesTheNetworkAlone) {
   EXPECT_EQ(nw.group_count(), 1u);
 }
 
-// Sharding a network with a live flow used to drop the flow table while
+// Sharding a network with a live flow would drop the flow table while
 // the per-host port index still named the flow, so a later ident_lookup
-// on its client port dereferenced a missing flow.
+// on its client port would dereference a missing flow.
 TEST(ShardedEngine, LiveFlowRefusesShardingInEveryBuild) {
   common::SimClock clock;
   net::Network nw(&clock);
