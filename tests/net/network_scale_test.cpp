@@ -195,6 +195,40 @@ TEST_F(NetworkScaleTest, MassTeardownIsLinearInVictimEndpoints) {
   EXPECT_EQ(nw.flow_count(), 0u);
 }
 
+TEST_F(NetworkScaleTest, ResetHostFreesPortsInFlowIdOrder) {
+  const HostId client = nw.add_host("client");
+  const HostId server = nw.add_host("server");
+  ASSERT_TRUE(
+      nw.listen(server, user_cred(1000), Pid{1}, Proto::tcp, 7000).ok());
+  std::vector<FlowId> ids;
+  auto dial = [&](std::uint32_t uid) -> std::uint16_t {
+    auto f = nw.connect(client, user_cred(uid), Pid{2}, server, Proto::tcp,
+                        7000);
+    if (!f.ok()) return 0;
+    ids.push_back(*f);
+    return nw.find_flow(*f)->client_port;
+  };
+
+  EXPECT_EQ(dial(1000), 32768);
+  EXPECT_EQ(dial(1001), 32769);
+  EXPECT_EQ(dial(1000), 32770);
+  EXPECT_EQ(dial(1001), 32771);
+  // Freed newest first, so the next two connects take the ports back
+  // against their ids' order.
+  ASSERT_TRUE(nw.close(ids[1]).ok());
+  ASSERT_TRUE(nw.close(ids[0]).ok());
+  EXPECT_EQ(dial(1001), 32769);
+  EXPECT_EQ(dial(1000), 32768);
+
+  // Live in flow-id order: 32770, 32771, 32769, 32768. Neither port
+  // order, per-uid order nor insertion recency gives that sequence.
+  EXPECT_EQ(nw.reset_host(client), 4u);
+  std::vector<std::uint16_t> reused;
+  for (int i = 0; i < 5; ++i) reused.push_back(dial(1000 + i % 2));
+  EXPECT_EQ(reused,
+            (std::vector<std::uint16_t>{32770, 32771, 32769, 32768, 32772}));
+}
+
 TEST_F(NetworkScaleTest, NextExpiryReportsEarliestLiveDeadline) {
   const HostId client = nw.add_host("client");
   const HostId server = nw.add_host("server");

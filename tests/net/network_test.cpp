@@ -144,6 +144,64 @@ TEST_F(NetworkTest, IdentUnknownPortFails) {
   EXPECT_EQ(nw.ident_lookup(h1, Proto::tcp, 9999).error(), Errno::enoent);
 }
 
+TEST_F(NetworkTest, OrphanedServerPortIdentsItsOldestLiveFlow) {
+  // Two listeners in turn on one port, each closed while its flow lives
+  // on: the port now belongs only to flow endpoints accepted under two
+  // different uids.
+  ASSERT_TRUE(nw.listen(h1, a, Pid{10}, Proto::tcp, 5000).ok());
+  auto oldest = nw.connect(h2, b, Pid{20}, h1, Proto::tcp, 5000);
+  ASSERT_TRUE(oldest.ok());
+  ASSERT_TRUE(nw.close_listener(h1, Proto::tcp, 5000).ok());
+  ASSERT_TRUE(nw.listen(h1, b, Pid{11}, Proto::tcp, 5000).ok());
+  auto newer = nw.connect(h2, a, Pid{21}, h1, Proto::tcp, 5000);
+  ASSERT_TRUE(newer.ok());
+  ASSERT_TRUE(nw.close_listener(h1, Proto::tcp, 5000).ok());
+
+  auto ident = nw.ident_lookup(h1, Proto::tcp, 5000);
+  ASSERT_TRUE(ident.ok());
+  EXPECT_EQ(ident->uid, alice);
+  EXPECT_EQ(nw.ident_lookup(h1, Proto::udp, 5000).error(), Errno::enoent);
+
+  ASSERT_TRUE(nw.close(*oldest).ok());
+  ident = nw.ident_lookup(h1, Proto::tcp, 5000);
+  ASSERT_TRUE(ident.ok());
+  EXPECT_EQ(ident->uid, bob);
+
+  ASSERT_TRUE(nw.close(*newer).ok());
+  EXPECT_EQ(nw.ident_lookup(h1, Proto::tcp, 5000).error(), Errno::enoent);
+}
+
+TEST_F(NetworkTest, SameHostFlowUnderOneUidIsTornDownOnce) {
+  // Both ends of the flow sit on h1 under alice, so each teardown sweep
+  // meets it twice; it must close (and be counted) once.
+  auto same_host_flow = [&] {
+    EXPECT_TRUE(nw.listen(h1, a, Pid{10}, Proto::tcp, 5000).ok());
+    auto flow = nw.connect(h1, a, Pid{20}, h1, Proto::tcp, 5000);
+    EXPECT_TRUE(flow.ok());
+    return flow.ok() ? nw.find_flow(*flow)->client_port : std::uint16_t{0};
+  };
+
+  std::uint16_t client_port = same_host_flow();
+  ASSERT_NE(client_port, 0);
+  std::uint64_t before = nw.stats().gc_entries_touched;
+  EXPECT_EQ(nw.close_sockets_of(h1, alice), 2u);  // listener + flow
+  EXPECT_EQ(nw.stats().gc_entries_touched - before, 2u);
+  EXPECT_EQ(nw.flow_count(), 0u);
+  EXPECT_EQ(nw.ident_lookup(h1, Proto::tcp, client_port).error(),
+            Errno::enoent);
+  EXPECT_EQ(nw.ident_lookup(h1, Proto::tcp, 5000).error(), Errno::enoent);
+
+  client_port = same_host_flow();
+  ASSERT_NE(client_port, 0);
+  before = nw.stats().gc_entries_touched;
+  EXPECT_EQ(nw.reset_host(h1), 2u);  // listener + flow
+  EXPECT_EQ(nw.stats().gc_entries_touched - before, 2u);
+  EXPECT_EQ(nw.flow_count(), 0u);
+  EXPECT_EQ(nw.ident_lookup(h1, Proto::tcp, client_port).error(),
+            Errno::enoent);
+  EXPECT_EQ(nw.ident_lookup(h1, Proto::tcp, 5000).error(), Errno::enoent);
+}
+
 TEST_F(NetworkTest, CloseRemovesConntrackEntry) {
   ASSERT_TRUE(nw.listen(h1, a, Pid{10}, Proto::tcp, 5000).ok());
   auto flow = nw.connect(h2, b, Pid{20}, h1, Proto::tcp, 5000);
