@@ -140,37 +140,24 @@ void Network::charge(Bucket& b, std::int64_t ns) {
   if (mutable_clock_ != nullptr) mutable_clock_->advance(ns);
 }
 
-Network::FlowHot* Network::lookup_hot(FlowId id) {
-  const std::uint32_t b = flow_bucket(id);
-  if (b >= buckets_.size()) return nullptr;
-  const std::size_t i = buckets_[b].table.find(id);
-  return i == FlowTable::npos ? nullptr : &buckets_[b].table.hot(i);
+Network::PortRow& Network::held_port(HostState& hs, std::uint16_t port) {
+  PortRow* row = hs.ports.find(port);
+  if (row == nullptr) {
+    throw std::logic_error("net: a held port has no port row");
+  }
+  return *row;
 }
 
-const Network::FlowHot* Network::lookup_hot(FlowId id) const {
-  const std::uint32_t b = flow_bucket(id);
-  if (b >= buckets_.size()) return nullptr;
-  const std::size_t i = buckets_[b].table.find(id);
-  return i == FlowTable::npos ? nullptr : &buckets_[b].table.hot(i);
-}
-
-void Network::ref_port(HostId h, std::uint16_t port) {
-  ++host(h).port_refs[port];
-}
-
-void Network::unref_port(HostId h, std::uint16_t port) {
+void Network::release_port(HostId h, std::uint16_t port, PortRow& row) {
+  if (--row.refs != 0) return;
   HostState& hs = host(h);
-  std::uint32_t* refs = hs.port_refs.find(port);
-  assert(refs != nullptr && *refs > 0);
-  if (--*refs == 0) {
-    hs.port_refs.erase(port);
-    // Return to the free pool only once the cursor has passed it; ports
-    // still ahead of the cursor are found by the cursor itself (a second
-    // pool entry would double-allocate).
-    if (port >= kEphemeralLo && port <= kEphemeralHi &&
-        port < hs.ephemeral_cursor) {
-      hs.freed_ports.push_back(bucket(group_of(h)).arena, port);
-    }
+  hs.ports.erase(port);
+  // Return to the free pool only once the cursor has passed it; ports
+  // still ahead of the cursor are found by the cursor itself (a second
+  // pool entry would double-allocate).
+  if (port >= kEphemeralLo && port <= kEphemeralHi &&
+      port < hs.ephemeral_cursor) {
+    hs.freed_ports.push_back(bucket(group_of(h)).arena, port);
   }
 }
 
@@ -185,7 +172,7 @@ Result<void> Network::listen(HostId h, const simos::Credentials& cred,
   const auto key = pkey(proto, port);
   if (hs.listeners.contains(key)) return Errno::eaddrinuse;
   hs.listeners.emplace(key, Listener{cred, pid, port, proto});
-  ref_port(h, port);
+  ++hs.ports[port].refs;
   return ok_result();
 }
 
@@ -197,7 +184,7 @@ Result<void> Network::close_listener(HostId h, Proto proto,
   if (hs.listeners.erase(pkey(proto, port)) == 0) {
     return Errno::enoent;
   }
-  unref_port(h, port);
+  release_port(h, port, held_port(hs, port));
   return ok_result();
 }
 
@@ -213,64 +200,127 @@ std::uint16_t Network::alloc_ephemeral_port(HostState& h) {
   // listener has since bound is discarded, not handed out.
   while (!h.freed_ports.empty()) {
     const std::uint16_t p = h.freed_ports.pop_front();
-    if (!h.port_refs.contains(p)) return p;
+    if (!h.ports.contains(p)) return p;
   }
   // Then the never-allocated remainder of the range.
   while (h.ephemeral_cursor <= kEphemeralHi) {
     const auto p = static_cast<std::uint16_t>(h.ephemeral_cursor++);
-    if (!h.port_refs.contains(p)) return p;
+    if (!h.ports.contains(p)) return p;
   }
   return 0;  // pool exhausted — caller reports EADDRNOTAVAIL
 }
 
-void Network::index_flow(const FlowHot& f) {
-  HostState& ch = host(f.client_host);
-  ch.flow_ports[pkey(f.proto, f.client_port)].push_back(
-      PortEndpoint{f.id, FlowEnd::client});
-  ch.flows_by_uid[f.client_uid].insert(f.id);
-  ch.flows.insert(f.id);
-  ref_port(f.client_host, f.client_port);
+std::uint32_t Network::add_endpoint(HostId h, FlowId flow, Uid uid,
+                                    Proto proto, std::uint16_t port) {
+  HostState& hs = host(h);
+  std::uint32_t s = hs.free_slot;
+  if (s != kNoSlot) {
+    hs.free_slot = hs.endpoints[s].port_next;
+  } else {
+    s = static_cast<std::uint32_t>(hs.endpoints.size());
+    hs.endpoints.emplace_back();
+  }
+  Endpoint& e = hs.endpoints[s];
+  e.flow = flow;
+  e.uid = uid;
+  e.port = port;
+  e.proto = proto;
 
-  HostState& sh = host(f.server_host);
-  sh.flow_ports[pkey(f.proto, f.server_port)].push_back(
-      PortEndpoint{f.id, FlowEnd::server});
-  sh.flows_by_uid[f.server_uid].insert(f.id);
-  sh.flows.insert(f.id);
-  ref_port(f.server_host, f.server_port);
+  // Newest on its (port, proto) list, which stays in insertion order.
+  PortRow& row = hs.ports[port];
+  ++row.refs;
+  const auto p = static_cast<std::size_t>(proto);
+  e.port_prev = row.newest[p];
+  e.port_next = kNoSlot;
+  if (row.newest[p] != kNoSlot) {
+    hs.endpoints[row.newest[p]].port_next = s;
+  } else {
+    row.oldest[p] = s;
+  }
+  row.newest[p] = s;
+
+  // First on its uid's list (teardown sorts, so order there is free).
+  const auto [first, fresh] = hs.uid_first.emplace(uid, s);
+  e.uid_prev = kNoSlot;
+  e.uid_next = kNoSlot;
+  if (!fresh) {
+    e.uid_next = *first;
+    hs.endpoints[*first].uid_prev = s;
+    *first = s;
+  }
+  return s;
 }
 
-void Network::unindex_flow(const FlowHot& f) {
-  auto drop_endpoint = [this](HostId hid, Proto proto, std::uint16_t port,
-                              FlowId id, FlowEnd end, Uid uid) {
-    HostState& hs = host(hid);
-    const auto key = pkey(proto, port);
-    std::vector<PortEndpoint>* eps = hs.flow_ports.find(key);
-    assert(eps != nullptr);
-    std::erase_if(*eps, [&](const PortEndpoint& ep) {
-      return ep.flow == id && ep.end == end;
-    });
-    if (eps->empty()) hs.flow_ports.erase(key);
-    if (common::FlatSet<FlowId>* by_uid = hs.flows_by_uid.find(uid)) {
-      by_uid->erase(id);
-      if (by_uid->empty()) hs.flows_by_uid.erase(uid);
+void Network::drop_endpoint(HostId h, std::uint32_t s, FlowId flow) {
+  HostState& hs = host(h);
+  if (s >= hs.endpoints.size() || hs.endpoints[s].flow != flow) {
+    throw std::logic_error("net: flow endpoint slot is not the flow's");
+  }
+  Endpoint& e = hs.endpoints[s];
+  PortRow& row = held_port(hs, e.port);
+  const auto p = static_cast<std::size_t>(e.proto);
+  (e.port_prev != kNoSlot ? hs.endpoints[e.port_prev].port_next
+                          : row.oldest[p]) = e.port_next;
+  (e.port_next != kNoSlot ? hs.endpoints[e.port_next].port_prev
+                          : row.newest[p]) = e.port_prev;
+  if (e.uid_prev != kNoSlot) {
+    hs.endpoints[e.uid_prev].uid_next = e.uid_next;
+  } else {
+    std::uint32_t* first = hs.uid_first.find(e.uid);
+    if (first == nullptr || *first != s) {
+      throw std::logic_error("net: flow endpoint is not on its uid's list");
     }
-    hs.flows.erase(id);
-    unref_port(hid, port);
-  };
-  drop_endpoint(f.client_host, f.proto, f.client_port, f.id,
-                FlowEnd::client, f.client_uid);
-  drop_endpoint(f.server_host, f.proto, f.server_port, f.id,
-                FlowEnd::server, f.server_uid);
+    if (e.uid_next != kNoSlot) {
+      *first = e.uid_next;
+    } else {
+      hs.uid_first.erase(e.uid);
+    }
+  }
+  if (e.uid_next != kNoSlot) hs.endpoints[e.uid_next].uid_prev = e.uid_prev;
+  e.flow = FlowId{};
+  e.port_next = hs.free_slot;
+  hs.free_slot = s;
+  release_port(h, e.port, row);
 }
 
-void Network::destroy_flow(FlowHot& f) {
-  Bucket& b = bucket_of(f.id);
-  const FlowId id = f.id;
+void Network::index_flow(const FlowHot& f, FlowCold& c) {
+  c.client_slot = add_endpoint(f.client_host, f.id, f.client_uid, f.proto,
+                               f.client_port);
+  c.server_slot = add_endpoint(f.server_host, f.id, f.server_uid, f.proto,
+                               f.server_port);
+}
+
+void Network::unindex_flow(const FlowHot& f, const FlowCold& c) {
+  drop_endpoint(f.client_host, c.client_slot, f.id);
+  drop_endpoint(f.server_host, c.server_slot, f.id);
+}
+
+void Network::destroy_flow(Bucket& b, std::size_t row) {
+  const FlowHot& f = b.table.hot(row);
   b.conntrack.erase(ConntrackKey{f.client_host, f.client_port,
                                  f.server_host, f.server_port,
                                  static_cast<int>(f.proto)});
-  unindex_flow(f);
-  b.table.erase(id, b.arena);  // invalidates f
+  unindex_flow(f, b.table.cold(row));
+  b.table.erase(row, b.arena);
+}
+
+std::size_t Network::teardown_flows(std::vector<FlowId>& dead,
+                                    NetworkStats& st) {
+  // A flow with both ends on the host (under one uid, for a per-uid
+  // sweep) was collected twice.
+  std::sort(dead.begin(), dead.end());
+  dead.erase(std::unique(dead.begin(), dead.end()), dead.end());
+  for (const FlowId id : dead) {
+    ++st.gc_entries_touched;
+    Bucket& B = bucket_of(id);
+    const std::size_t row = B.table.find(id);
+    if (row == FlowTable::npos) {
+      throw std::logic_error("net: endpoint names a flow that is gone");
+    }
+    fire_flow(B.table.hot(row), FlowEvent::teardown, /*outcome=*/false);
+    destroy_flow(B, row);
+  }
+  return dead.size();
 }
 
 const lifecycle::Transition* Network::fire_flow(FlowHot& f, FlowEvent event,
@@ -351,7 +401,7 @@ Result<FlowId> Network::connect(HostId src_host,
   flow.client_uid = cred.uid;
   flow.server_uid = listener->cred.uid;
   const std::size_t row = B.table.insert(flow);
-  index_flow(B.table.hot(row));
+  index_flow(B.table.hot(row), B.table.cold(row));
 
   if (hook_ && dst_port >= inspect_from_port_) {
     ++B.stats.hook_invocations;
@@ -368,10 +418,9 @@ Result<FlowId> Network::connect(HostId src_host,
       // the row index.
       const std::size_t fi = B.table.find(id);
       if (fi != FlowTable::npos) {
-        FlowHot& f = B.table.hot(fi);
-        fire_flow(f, FlowEvent::hook_drop, /*outcome=*/true);
-        unindex_flow(f);
-        B.table.erase(id, B.arena);
+        fire_flow(B.table.hot(fi), FlowEvent::hook_drop, /*outcome=*/true);
+        unindex_flow(B.table.hot(fi), B.table.cold(fi));
+        B.table.erase(fi, B.arena);
       }
       ++B.stats.connections_dropped;
       B.last_connect_cost_ns = cost;
@@ -448,7 +497,7 @@ Result<void> Network::send(FlowId id, FlowEnd from, std::string payload) {
     B.last_send_cost_ns = reset_cost;
     charge(B, reset_cost);
     fire_flow(f, FlowEvent::identity_reset, /*outcome=*/false);
-    destroy_flow(f);
+    destroy_flow(B, fi);
     return Errno::econnreset;
   }
 
@@ -496,11 +545,14 @@ Result<std::string> Network::recv(FlowId id, FlowEnd at) {
 }
 
 Result<void> Network::close(FlowId id) {
-  FlowHot* fp = lookup_hot(id);
-  if (fp == nullptr) return Errno::ebadf;
-  assert_scope(flow_bucket(id));
-  fire_flow(*fp, FlowEvent::teardown, /*outcome=*/false);
-  destroy_flow(*fp);
+  const std::uint32_t bi = flow_bucket(id);
+  if (bi >= buckets_.size()) return Errno::ebadf;
+  assert_scope(bi);
+  Bucket& B = bucket(bi);
+  const std::size_t fi = B.table.find(id);
+  if (fi == FlowTable::npos) return Errno::ebadf;
+  fire_flow(B.table.hot(fi), FlowEvent::teardown, /*outcome=*/false);
+  destroy_flow(B, fi);
   return ok_result();
 }
 
@@ -566,7 +618,7 @@ std::size_t Network::gc_bucket(std::uint32_t bi) {
       B.expiry_heap.push(ExpiryEntry{f.expires_at_ns, f.id});
       continue;
     }
-    destroy_flow(f);
+    destroy_flow(B, fi);
     ++B.stats.flows_expired;
     ++expired;
   }
@@ -612,7 +664,7 @@ std::size_t Network::close_sockets_of(HostId h, Uid uid) {
       const std::uint32_t key = entry.key;
       const std::uint16_t port = entry.value.port;
       hs.listeners.erase(key);
-      unref_port(h, port);
+      release_port(h, port, held_port(hs, port));
       ++closed;
     } else {
       ++i;
@@ -628,23 +680,17 @@ std::size_t Network::close_sockets_of(HostId h, Uid uid) {
       ++it;
     }
   }
-  // Indexed teardown: exactly this user's flows on this host, one erase
-  // pass each — never a scan of the global flow table. Snapshot the id
-  // set first (destroy_flow edits it underneath us) and sort it: the
-  // erase order feeds the freed-port FIFO the pinned digests observe.
-  if (const common::FlatSet<FlowId>* by_uid = hs.flows_by_uid.find(uid)) {
-    std::vector<FlowId> dead(by_uid->begin(), by_uid->end());
-    std::sort(dead.begin(), dead.end());
-    for (FlowId id : dead) {
-      ++st.gc_entries_touched;
-      FlowHot* fp = lookup_hot(id);
-      if (fp == nullptr) continue;
-      fire_flow(*fp, FlowEvent::teardown, /*outcome=*/false);
-      destroy_flow(*fp);
-      ++closed;
+  // Indexed teardown: exactly this user's endpoints on this host, one
+  // erase pass per flow — never a scan of the global flow table. Collect
+  // the ids first (destroy_flow unlinks the list underneath us).
+  std::vector<FlowId> dead;
+  if (const std::uint32_t* first = hs.uid_first.find(uid)) {
+    for (std::uint32_t s = *first; s != kNoSlot;
+         s = hs.endpoints[s].uid_next) {
+      dead.push_back(hs.endpoints[s].flow);
     }
   }
-  return closed;
+  return closed + teardown_flows(dead, st);
 }
 
 std::size_t Network::reset_host(HostId h) {
@@ -654,23 +700,21 @@ std::size_t Network::reset_host(HostId h) {
   NetworkStats& st = bucket(group_of(h)).stats;
   std::size_t closed = hs.listeners.size() + hs.abstract_sockets.size();
   st.gc_entries_touched += closed;
-  for (const auto& [key, l] : hs.listeners) unref_port(h, l.port);
+  for (const auto& [key, l] : hs.listeners) {
+    release_port(h, l.port, held_port(hs, l.port));
+  }
   hs.listeners.clear();
   hs.abstract_sockets.clear();
-  // Per-host flow index: touch only flows with an endpoint here. Sorted
-  // so the teardown order (and the freed-port FIFO it feeds) matches the
-  // id order the digests were pinned against.
-  std::vector<FlowId> dead(hs.flows.begin(), hs.flows.end());
-  std::sort(dead.begin(), dead.end());
-  for (FlowId id : dead) {
-    ++st.gc_entries_touched;
-    FlowHot* fp = lookup_hot(id);
-    if (fp == nullptr) continue;
-    fire_flow(*fp, FlowEvent::teardown, /*outcome=*/false);
-    destroy_flow(*fp);
-    ++closed;
+  // Per-host endpoint index: touch only flows with an end here, walking
+  // every uid's list.
+  std::vector<FlowId> dead;
+  for (const auto& [uid, first] : hs.uid_first) {
+    for (std::uint32_t s = first; s != kNoSlot;
+         s = hs.endpoints[s].uid_next) {
+      dead.push_back(hs.endpoints[s].flow);
+    }
   }
-  return closed;
+  return closed + teardown_flows(dead, st);
 }
 
 Result<IdentInfo> Network::ident_lookup(HostId h, Proto proto,
@@ -697,20 +741,13 @@ Result<IdentInfo> Network::ident_lookup(HostId h, Proto proto,
   if (const Listener* l = find_listener(h, proto, port)) {
     return IdentInfo{l->cred.uid, l->cred.egid, l->pid};
   }
-  // ...or a flow endpoint does (client ephemeral ports live here) — O(1)
-  // via the per-host port index, not a scan of the flow table.
-  if (const std::vector<PortEndpoint>* eps =
-          hs.flow_ports.find(pkey(proto, port));
-      eps != nullptr && !eps->empty()) {
-    const PortEndpoint& ep = eps->front();
-    const FlowHot* f = lookup_hot(ep.flow);
-    assert(f != nullptr);
-    if (ep.end == FlowEnd::client) {
-      // The client side has no captured egid snapshot distinct from uid's
-      // session; the UBF only needs the uid on the initiating side.
-      return IdentInfo{f->client_uid, Gid{}, Pid{}};
-    }
-    return IdentInfo{f->server_uid, Gid{}, Pid{}};
+  // ...or a flow endpoint does (client ephemeral ports, orphaned server
+  // ports): the oldest one on the port's list answers, from its own uid.
+  // A flow end keeps no egid or pid snapshot; the UBF only needs the uid
+  // on the initiating side.
+  if (const PortRow* row = hs.ports.find(port)) {
+    const std::uint32_t s = row->oldest[static_cast<std::size_t>(proto)];
+    if (s != kNoSlot) return IdentInfo{hs.endpoints[s].uid, Gid{}, Pid{}};
   }
   return Errno::enoent;
 }

@@ -16,14 +16,19 @@
 // Memory layout (DESIGN.md §8): flow state is stored struct-of-arrays —
 // a dense hot array (FlowHot: ids, endpoints, state, deadline) that GC
 // and audit sweeps touch, and a parallel cold array (FlowCold: message
-// rings, byte counters) that only send/recv touch. Message queues and the
-// freed-ephemeral-port pool are arena-backed rings owned by the flow's
-// bucket, so steady-state connection churn performs no global-heap
-// allocation. Every index is a FlatMap/FlatSet whose iteration order is a
-// pure function of the operation sequence (never of hash internals), the
-// property the pinned golden digests rely on.
+// rings, byte counters, endpoint slots) that only send/recv and teardown
+// touch. Message queues and the freed-ephemeral-port pool are
+// arena-backed rings owned by the flow's bucket. Each host indexes its
+// flow ends in one endpoint slab whose nodes never move, linked per
+// (port, proto) and per uid, so connect and every teardown path cost
+// O(1) per endpoint and steady-state connection churn performs no
+// global-heap allocation. Every index is a FlatMap/FlatSet or a slab
+// whose iteration order is a pure function of the operation sequence
+// (never of hash internals), the property the pinned golden digests rely
+// on.
 #pragma once
 
+#include <array>
 #include <cstdint>
 #include <functional>
 #include <map>
@@ -419,10 +424,30 @@ class Network {
     return (static_cast<std::uint32_t>(proto) << 16) | port;
   }
 
-  /// One end of a flow, as seen from a host's port table.
-  struct PortEndpoint {
-    FlowId flow{};
-    FlowEnd end = FlowEnd::client;
+  /// End of an endpoint list; a free slab node; no slot.
+  static constexpr std::uint32_t kNoSlot = 0xffffffffu;
+
+  /// One end of a flow, as a node in its host's endpoint slab. A node
+  /// never moves while it lives and sits on two doubly linked lists: its
+  /// (port, proto)'s, oldest first, and its uid's. A free node has no
+  /// flow and chains the free list through port_next.
+  struct Endpoint {
+    FlowId flow{};  ///< FlowId{} while the node is free
+    Uid uid{};      ///< the uid at this end of the flow
+    std::uint16_t port = 0;
+    Proto proto = Proto::tcp;
+    std::uint32_t port_prev = kNoSlot;
+    std::uint32_t port_next = kNoSlot;
+    std::uint32_t uid_prev = kNoSlot;
+    std::uint32_t uid_next = kNoSlot;
+  };
+
+  /// One in-use port of a host: the listeners and flow endpoints (any
+  /// proto) holding it, and per proto the ends of its endpoint list.
+  struct PortRow {
+    std::uint32_t refs = 0;
+    std::array<std::uint32_t, 2> oldest{kNoSlot, kNoSlot};  ///< by Proto
+    std::array<std::uint32_t, 2> newest{kNoSlot, kNoSlot};
   };
 
   /// The per-flow fields every sweep touches (GC deadline scans, audit
@@ -440,12 +465,15 @@ class Network {
     std::int64_t expires_at_ns = 0;
   };
 
-  /// The per-flow fields only send/recv touch: in-flight message rings
-  /// (storage in the owning bucket's arena) and the byte counter.
+  /// The per-flow fields only send/recv and teardown touch: in-flight
+  /// message rings (storage in the owning bucket's arena), the byte
+  /// counter, and the flow's node in each host's endpoint slab.
   struct FlowCold {
     common::RingBuffer<std::string> to_server;
     common::RingBuffer<std::string> to_client;
     std::uint64_t bytes = 0;
+    std::uint32_t client_slot = kNoSlot;
+    std::uint32_t server_slot = kNoSlot;
   };
 
   /// Hot/cold SoA flow storage for one bucket: a slot-map keeps the hot
@@ -478,21 +506,18 @@ class Network {
       return hot_.size() - 1;
     }
 
-    /// Drains the cold rings back into `arena`, then erases the row,
-    /// mirroring the hot array's swap-with-last in the cold array.
-    bool erase(FlowId id, common::Arena& arena) {
-      const common::SlotHandle* hp = index_.find(id);
-      if (hp == nullptr) return false;
-      const common::SlotHandle h = *hp;
-      const std::size_t dead = hot_.dense_index(h);
-      cold_[dead].to_server.clear(arena);
-      cold_[dead].to_client.clear(arena);
-      hot_.erase(h, [&](std::uint32_t from, std::uint32_t to) {
-        cold_[to] = std::move(cold_[from]);
-      });
+    /// Drains dense row `row`'s cold rings back into `arena`, then erases
+    /// it, mirroring the hot array's swap-with-last in the cold array.
+    void erase(std::size_t row, common::Arena& arena) {
+      const FlowId id = hot_.dense(row).id;
+      cold_[row].to_server.clear(arena);
+      cold_[row].to_client.clear(arena);
+      hot_.erase(hot_.handle_at(row),
+                 [&](std::uint32_t from, std::uint32_t to) {
+                   cold_[to] = std::move(cold_[from]);
+                 });
       cold_.pop_back();
       index_.erase(id);
-      return true;
     }
 
    private:
@@ -510,25 +535,28 @@ class Network {
     std::map<std::string, simos::Credentials, std::less<>> abstract_sockets;
 
     // Ephemeral-port allocator: a lazy cursor over [kEphemeralLo,
-    // kEphemeralHi] plus a FIFO of freed ports, guarded by per-port
-    // endpoint refcounts (listeners + flow endpoints, any proto). O(1)
-    // amortized; an empty pool is a typed EADDRNOTAVAIL, never a
-    // 65536-attempt spin.
+    // kEphemeralHi] plus a FIFO of freed ports, guarded by the port rows
+    // (a port is in use iff it has one). O(1) amortized; an empty pool is
+    // a typed EADDRNOTAVAIL, never a 65536-attempt spin.
     std::uint32_t ephemeral_cursor = kEphemeralLo;
     /// Storage lives in the host's group bucket arena (a worker only
     /// touches its own group's hosts, so that arena is thread-confined).
     common::RingBuffer<std::uint16_t> freed_ports;
-    common::FlatMap<std::uint16_t, std::uint32_t> port_refs;
 
-    /// (proto, port) -> flow endpoints on this host, insertion-ordered;
-    /// backs O(1) ident_lookup for ephemeral and orphaned server ports.
-    common::FlatMap<std::uint32_t, std::vector<PortEndpoint>> flow_ports;
-    /// Flows touching this host, per owning uid and in total: teardown
-    /// sweeps visit exactly these, never the global flow table. Unordered;
-    /// teardown snapshots and sorts before erasing (the erase order feeds
-    /// the freed-port FIFO, which the pinned digests observe).
-    common::FlatMap<Uid, common::FlatSet<FlowId>> flows_by_uid;
-    common::FlatSet<FlowId> flows;
+    // Endpoint index: every flow end on this host is one slab node, so
+    // connect, close, GC expiry and identity reset each touch one node
+    // and two rows per host, and allocate nothing once warm. Written by
+    // the host's group worker, or by the coordinator at the barrier for
+    // cross-group flows: the confinement freed_ports has.
+    /// port -> refs and per-proto endpoint list; ident answers an
+    /// orphaned or ephemeral port from its oldest node.
+    common::FlatMap<std::uint16_t, PortRow> ports;
+    /// uid -> first node of that uid's endpoint list. Unordered:
+    /// teardown sweeps collect, dedupe and sort flow ids before erasing
+    /// (the erase order feeds the freed-port FIFO the digests observe).
+    common::FlatMap<Uid, std::uint32_t> uid_first;
+    std::vector<Endpoint> endpoints;  ///< the slab; slots never move
+    std::uint32_t free_slot = kNoSlot;  ///< head of the free-node chain
   };
 
   struct ConntrackKey {
@@ -603,21 +631,34 @@ class Network {
   /// As above, but for operations that may touch several buckets (host
   /// teardown, stats merges): legal only with no scope installed.
   static void assert_serial_phase();
-  /// Find a flow's hot row by id across its owning bucket. Null if gone.
-  FlowHot* lookup_hot(FlowId id);
-  [[nodiscard]] const FlowHot* lookup_hot(FlowId id) const;
 
   /// 0 on exhaustion (caller reports EADDRNOTAVAIL).
   std::uint16_t alloc_ephemeral_port(HostState& h);
-  void ref_port(HostId h, std::uint16_t port);
-  void unref_port(HostId h, std::uint16_t port);
-  /// Register/unregister a flow in every per-host index.
-  void index_flow(const FlowHot& f);
-  void unindex_flow(const FlowHot& f);
-  /// Tear one flow down: conntrack entry, indices, port refs, SoA row.
-  /// The single erase pass all teardown sweeps (close/GC/reset) funnel
-  /// through. Invalidates `f`.
-  void destroy_flow(FlowHot& f);
+  /// `hs`'s row for a port a listener or flow endpoint holds. Throws
+  /// std::logic_error, in every build, if there is none.
+  static PortRow& held_port(HostState& hs, std::uint16_t port);
+  /// Drop one reference on `row`, host `h`'s row for `port`. The last
+  /// one erases the row and pools the port if it is ephemeral.
+  void release_port(HostId h, std::uint16_t port, PortRow& row);
+  /// Link one flow end into host `h`'s endpoint index; returns its slot.
+  std::uint32_t add_endpoint(HostId h, FlowId flow, Uid uid, Proto proto,
+                             std::uint16_t port);
+  /// Unlink and free `flow`'s node at `slot` on host `h`. Throws
+  /// std::logic_error, in every build, if the node is not that flow's,
+  /// its port has no row or its uid's list does not lead to it.
+  void drop_endpoint(HostId h, std::uint32_t slot, FlowId flow);
+  /// Register/unregister a flow's two ends in their hosts' indices.
+  void index_flow(const FlowHot& f, FlowCold& c);
+  void unindex_flow(const FlowHot& f, const FlowCold& c);
+  /// Tear down the flow at dense row `row` of `b`: conntrack entry,
+  /// endpoints, port refs, SoA row. The single erase pass every teardown
+  /// path (close/GC/reset/identity reset) funnels through. Invalidates
+  /// the row.
+  void destroy_flow(Bucket& b, std::size_t row);
+  /// Tear down each flow in `dead` once, in id order (the order feeds
+  /// the freed-port FIFO). Counts one touched entry per flow in `st`.
+  /// Returns the flows torn down.
+  std::size_t teardown_flows(std::vector<FlowId>& dead, NetworkStats& st);
   void touch_flow(FlowHot& f);
   /// Charge simulated latency against `b`: advances the clock directly,
   /// or accumulates into the bucket under deferred-charge mode.
