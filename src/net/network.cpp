@@ -403,30 +403,18 @@ Result<FlowId> Network::connect(HostId src_host,
   const std::size_t row = B.table.insert(flow);
   index_flow(B.table.hot(row), B.table.cold(row));
 
-  if (hook_ && dst_port >= inspect_from_port_) {
+  const bool inspected = hook_ && dst_port >= inspect_from_port_;
+  Verdict verdict = Verdict::accept;
+  if (inspected) {
     ++B.stats.hook_invocations;
     cost += latency_.hook_dispatch_ns;
-    ConnRequest req{src_host, src_port, dst_host, dst_port, proto};
-    const Verdict v = hook_(req);
+    verdict =
+        hook_(ConnRequest{src_host, src_port, dst_host, dst_port, proto});
     // Ident costs are charged by ident_lookup itself via stats; the
     // latency is attributed here: one local + one remote query.
     cost += latency_.ident_local_ns;
     cost += (src_host == dst_host) ? latency_.ident_local_ns
                                    : latency_.ident_remote_ns;
-    if (v == Verdict::drop) {
-      // The hook may itself have closed flows; re-find rather than trust
-      // the row index.
-      const std::size_t fi = B.table.find(id);
-      if (fi != FlowTable::npos) {
-        fire_flow(B.table.hot(fi), FlowEvent::hook_drop, /*outcome=*/true);
-        unindex_flow(B.table.hot(fi), B.table.cold(fi));
-        B.table.erase(fi, B.arena);
-      }
-      ++B.stats.connections_dropped;
-      B.last_connect_cost_ns = cost;
-      charge(B, cost);
-      return Errno::econnrefused;  // client observes refusal/timeout
-    }
   } else if (trace_ != nullptr && cred.uid != listener->cred.uid) {
     // No firewall hook saw this cross-user flow — either no UBF is
     // attached or the port is below the inspection floor. That silent
@@ -444,16 +432,34 @@ Result<FlowId> Network::connect(HostId src_host,
                    });
   }
 
+  // The hook may itself have torn flows down, this one included (say, by
+  // calling close_sockets_of), and an erase moves rows: find it again.
+  const std::size_t fi = B.table.find(id);
+  if (verdict == Verdict::drop) {
+    if (fi != FlowTable::npos) {
+      fire_flow(B.table.hot(fi), FlowEvent::hook_drop, /*outcome=*/true);
+      unindex_flow(B.table.hot(fi), B.table.cold(fi));
+      B.table.erase(fi, B.arena);
+    }
+    ++B.stats.connections_dropped;
+    B.last_connect_cost_ns = cost;
+    charge(B, cost);
+    return Errno::econnrefused;  // client observes refusal/timeout
+  }
+  if (fi == FlowTable::npos) {
+    // Gone before its accept landed: fail closed, with no conntrack
+    // entry or expiry deadline left behind.
+    B.last_connect_cost_ns = cost;
+    charge(B, cost);
+    return Errno::econnreset;
+  }
   B.conntrack.emplace(
       ConntrackKey{src_host, src_port, dst_host, dst_port,
                    static_cast<int>(proto)},
       id);
-  const std::size_t fi = B.table.find(id);
-  assert(fi != FlowTable::npos);
   // Admission through the table: an inspected flow establishes on the
   // hook's accept verdict (guard `ubf-inspects` true); an uninspected
   // one takes the annotated admit-uninspected row (guard false).
-  const bool inspected = hook_ && dst_port >= inspect_from_port_;
   fire_flow(B.table.hot(fi),
             inspected ? FlowEvent::hook_accept : FlowEvent::admit_uninspected,
             inspected);

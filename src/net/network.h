@@ -293,7 +293,9 @@ class Network {
                                               std::uint16_t port) const;
 
   /// Establish a new connection. Runs the firewall hook (for inspected
-  /// ports), charges simulated latency, and returns the flow id.
+  /// ports), charges simulated latency, and returns the flow id. A hook
+  /// that tears down the flow it is judging (say, by calling
+  /// close_sockets_of) fails the connect with ECONNRESET, even on accept.
   Result<FlowId> connect(HostId src_host, const simos::Credentials& cred,
                          Pid pid, HostId dst_host, Proto proto,
                          std::uint16_t dst_port);

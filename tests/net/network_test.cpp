@@ -106,6 +106,36 @@ TEST_F(NetworkTest, HookDropRefusesAndRemovesFlow) {
   EXPECT_TRUE(nw.cross_user_flows().empty());
 }
 
+TEST_F(NetworkTest, HookThatReapsTheFlowItJudgesFailsTheConnect) {
+  nw.set_flow_ttl(common::kSecond);
+  std::size_t reaped = 0;
+  nw.set_hook([&](const ConnRequest& req) {
+    // The initiator's sockets are reaped mid-admission, the nascent flow
+    // included, yet the verdict is accept.
+    reaped += nw.close_sockets_of(req.src_host, bob);
+    return Verdict::accept;
+  });
+  ASSERT_TRUE(nw.listen(h1, a, Pid{10}, Proto::tcp, 5000).ok());
+  const auto flow = nw.connect(h2, b, Pid{20}, h1, Proto::tcp, 5000);
+  EXPECT_EQ(flow.error(), Errno::econnreset);
+  EXPECT_EQ(reaped, 1u);
+  EXPECT_EQ(nw.flow_count(), 0u);
+  EXPECT_EQ(nw.stats().connections_established, 0u);
+  EXPECT_FALSE(nw.next_expiry_ns().has_value());
+
+  // The next connect takes the same source port, so the same conntrack
+  // tuple; it establishes, carries traffic and closes as if the failed
+  // one had never been.
+  nw.clear_hook();
+  const auto next = nw.connect(h2, b, Pid{21}, h1, Proto::tcp, 5000);
+  ASSERT_TRUE(next.ok());
+  ASSERT_TRUE(nw.send(*next, FlowEnd::client, "ping").ok());
+  EXPECT_EQ(*nw.recv(*next, FlowEnd::server), "ping");
+  ASSERT_TRUE(nw.close(*next).ok());
+  EXPECT_EQ(nw.flow_count(), 0u);
+  EXPECT_EQ(nw.stats().connections_established, 1u);
+}
+
 TEST_F(NetworkTest, LowPortsBypassHook) {
   int hook_calls = 0;
   nw.set_hook(
