@@ -1,7 +1,6 @@
 #include "net/network.h"
 
 #include <algorithm>
-#include <cassert>
 #include <stdexcept>
 
 namespace heus::net {
@@ -482,11 +481,16 @@ Result<void> Network::send(FlowId id, FlowEnd from, std::string payload) {
 
   // Established path: a conntrack lookup and delivery; the firewall hook
   // is *not* consulted (the zero-overhead property the paper relies on).
-  [[maybe_unused]] const FlowId* ct =
+  // An established flow whose tuple leads elsewhere would deliver past
+  // the table that admitted it: refuse, in every build.
+  const FlowId* ct =
       B.conntrack.find(ConntrackKey{f.client_host, f.client_port,
                                     f.server_host, f.server_port,
                                     static_cast<int>(f.proto)});
-  assert(ct != nullptr);
+  if (ct == nullptr || *ct != id) {
+    throw std::logic_error(
+        "net: established flow without its conntrack entry");
+  }
   ++B.stats.conntrack_hits;
 
   // Fail-safe on the fast path: the conntrack entry was admitted against

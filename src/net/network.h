@@ -300,7 +300,9 @@ class Network {
                          Pid pid, HostId dst_host, Proto proto,
                          std::uint16_t dst_port);
 
-  /// Send on an established flow: conntrack fast path, no hook.
+  /// Send on an established flow: conntrack fast path, no hook. Throws
+  /// std::logic_error, in every build, if the flow's conntrack entry is
+  /// missing or names another flow.
   Result<void> send(FlowId flow, FlowEnd from, std::string payload);
   /// Pop the oldest undelivered message at `at` end.
   Result<std::string> recv(FlowId flow, FlowEnd at);
