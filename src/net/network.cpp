@@ -2,6 +2,7 @@
 
 #include <algorithm>
 #include <stdexcept>
+#include <utility>
 
 namespace heus::net {
 
@@ -75,7 +76,7 @@ void Network::enable_sharding(std::uint32_t groups,
     }
   }
   // Resharding a live flow table would have to re-tag every id, and the
-  // per-host port indices would still name the dropped flows; requiring
+  // hosts' endpoint slabs would still name the dropped flows; requiring
   // an empty table keeps every id a pure function of the post-shard
   // workload.
   if (flow_count() != 0) {
@@ -195,7 +196,7 @@ const Listener* Network::find_listener(HostId h, Proto proto,
 
 std::uint16_t Network::alloc_ephemeral_port(HostState& h) {
   // Freed ports first (FIFO keeps reuse distance long, like the kernel's
-  // cursor), with lazy validation against the refcounts: a pooled port a
+  // cursor), with lazy validation against the port rows: a pooled port a
   // listener has since bound is discarded, not handed out.
   while (!h.freed_ports.empty()) {
     const std::uint16_t p = h.freed_ports.pop_front();
@@ -213,40 +214,24 @@ std::uint32_t Network::add_endpoint(HostId h, FlowId flow, Uid uid,
                                     Proto proto, std::uint16_t port) {
   HostState& hs = host(h);
   std::uint32_t s = hs.free_slot;
-  if (s != kNoSlot) {
-    hs.free_slot = hs.endpoints[s].port_next;
-  } else {
+  if (s == kNoSlot) {
     s = static_cast<std::uint32_t>(hs.endpoints.size());
     hs.endpoints.emplace_back();
+  } else {
+    hs.free_slot = hs.endpoints[s].port_next;
   }
-  Endpoint& e = hs.endpoints[s];
-  e.flow = flow;
-  e.uid = uid;
-  e.port = port;
-  e.proto = proto;
-
-  // Newest on its (port, proto) list, which stays in insertion order.
+  // Newest on its (port, proto) list, which stays in insertion order;
+  // first on its uid's (teardown sorts, so order there is free).
   PortRow& row = hs.ports[port];
   ++row.refs;
   const auto p = static_cast<std::size_t>(proto);
-  e.port_prev = row.newest[p];
-  e.port_next = kNoSlot;
-  if (row.newest[p] != kNoSlot) {
-    hs.endpoints[row.newest[p]].port_next = s;
-  } else {
-    row.oldest[p] = s;
-  }
-  row.newest[p] = s;
-
-  // First on its uid's list (teardown sorts, so order there is free).
+  const std::uint32_t prev = std::exchange(row.newest[p], s);
+  (prev != kNoSlot ? hs.endpoints[prev].port_next : row.oldest[p]) = s;
   const auto [first, fresh] = hs.uid_first.emplace(uid, s);
-  e.uid_prev = kNoSlot;
-  e.uid_next = kNoSlot;
-  if (!fresh) {
-    e.uid_next = *first;
-    hs.endpoints[*first].uid_prev = s;
-    *first = s;
-  }
+  const std::uint32_t next = fresh ? kNoSlot : std::exchange(*first, s);
+  if (next != kNoSlot) hs.endpoints[next].uid_prev = s;
+  hs.endpoints[s] =
+      Endpoint{flow, uid, port, proto, prev, kNoSlot, kNoSlot, next};
   return s;
 }
 
@@ -481,8 +466,8 @@ Result<void> Network::send(FlowId id, FlowEnd from, std::string payload) {
 
   // Established path: a conntrack lookup and delivery; the firewall hook
   // is *not* consulted (the zero-overhead property the paper relies on).
-  // An established flow whose tuple leads elsewhere would deliver past
-  // the table that admitted it: refuse, in every build.
+  // A flow whose tuple has no entry, or one naming another flow, would
+  // be delivering outside the table that admitted it.
   const FlowId* ct =
       B.conntrack.find(ConntrackKey{f.client_host, f.client_port,
                                     f.server_host, f.server_port,

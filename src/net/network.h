@@ -18,14 +18,11 @@
 // and audit sweeps touch, and a parallel cold array (FlowCold: message
 // rings, byte counters, endpoint slots) that only send/recv and teardown
 // touch. Message queues and the freed-ephemeral-port pool are
-// arena-backed rings owned by the flow's bucket. Each host indexes its
-// flow ends in one endpoint slab whose nodes never move, linked per
-// (port, proto) and per uid, so connect and every teardown path cost
-// O(1) per endpoint and steady-state connection churn performs no
-// global-heap allocation. Every index is a FlatMap/FlatSet or a slab
-// whose iteration order is a pure function of the operation sequence
-// (never of hash internals), the property the pinned golden digests rely
-// on.
+// arena-backed rings owned by the flow's bucket, and each host keeps its
+// flow ends in one endpoint slab, so steady-state connection churn
+// performs no global-heap allocation. Every index's iteration order is a
+// pure function of the operation sequence (never of hash internals), the
+// property the pinned golden digests rely on.
 #pragma once
 
 #include <array>
@@ -428,7 +425,7 @@ class Network {
     return (static_cast<std::uint32_t>(proto) << 16) | port;
   }
 
-  /// End of an endpoint list; a free slab node; no slot.
+  /// No node: the end of an endpoint list or of the free chain.
   static constexpr std::uint32_t kNoSlot = 0xffffffffu;
 
   /// One end of a flow, as a node in its host's endpoint slab. A node
@@ -547,11 +544,10 @@ class Network {
     /// touches its own group's hosts, so that arena is thread-confined).
     common::RingBuffer<std::uint16_t> freed_ports;
 
-    // Endpoint index: every flow end on this host is one slab node, so
-    // connect, close, GC expiry and identity reset each touch one node
-    // and two rows per host, and allocate nothing once warm. Written by
+    // Endpoint index: one slab node per flow end on this host, so every
+    // flow op touches one node and two rows here, in O(1). Written by
     // the host's group worker, or by the coordinator at the barrier for
-    // cross-group flows: the confinement freed_ports has.
+    // cross-group flows, like freed_ports.
     /// port -> refs and per-proto endpoint list; ident answers an
     /// orphaned or ephemeral port from its oldest node.
     common::FlatMap<std::uint16_t, PortRow> ports;
