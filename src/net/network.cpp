@@ -267,24 +267,16 @@ void Network::drop_endpoint(HostId h, std::uint32_t s, FlowId flow) {
   release_port(h, e.port, row);
 }
 
-void Network::index_flow(const FlowHot& f, FlowCold& c) {
-  c.client_slot = add_endpoint(f.client_host, f.id, f.client_uid, f.proto,
-                               f.client_port);
-  c.server_slot = add_endpoint(f.server_host, f.id, f.server_uid, f.proto,
-                               f.server_port);
-}
-
-void Network::unindex_flow(const FlowHot& f, const FlowCold& c) {
-  drop_endpoint(f.client_host, c.client_slot, f.id);
-  drop_endpoint(f.server_host, c.server_slot, f.id);
-}
-
 void Network::destroy_flow(Bucket& b, std::size_t row) {
   const FlowHot& f = b.table.hot(row);
   b.conntrack.erase(ConntrackKey{f.client_host, f.client_port,
                                  f.server_host, f.server_port,
                                  static_cast<int>(f.proto)});
-  unindex_flow(f, b.table.cold(row));
+  // Client end first: the freed-port FIFO the digests observe sees its
+  // ports in that order.
+  const FlowCold& c = b.table.cold(row);
+  drop_endpoint(f.client_host, c.client_slot, f.id);
+  drop_endpoint(f.server_host, c.server_slot, f.id);
   b.table.erase(row, b.arena);
 }
 
@@ -384,8 +376,10 @@ Result<FlowId> Network::connect(HostId src_host,
   flow.server_port = dst_port;
   flow.client_uid = cred.uid;
   flow.server_uid = listener->cred.uid;
-  const std::size_t row = B.table.insert(flow);
-  index_flow(B.table.hot(row), B.table.cold(row));
+  FlowCold& ends = B.table.cold(B.table.insert(flow));
+  ends.client_slot = add_endpoint(src_host, id, cred.uid, proto, src_port);
+  ends.server_slot =
+      add_endpoint(dst_host, id, flow.server_uid, proto, dst_port);
 
   const bool inspected = hook_ && dst_port >= inspect_from_port_;
   Verdict verdict = Verdict::accept;
@@ -422,8 +416,7 @@ Result<FlowId> Network::connect(HostId src_host,
   if (verdict == Verdict::drop) {
     if (fi != FlowTable::npos) {
       fire_flow(B.table.hot(fi), FlowEvent::hook_drop, /*outcome=*/true);
-      unindex_flow(B.table.hot(fi), B.table.cold(fi));
-      B.table.erase(fi, B.arena);
+      destroy_flow(B, fi);
     }
     ++B.stats.connections_dropped;
     B.last_connect_cost_ns = cost;

@@ -647,13 +647,10 @@ class Network {
   /// std::logic_error, in every build, if the node is not that flow's,
   /// its port has no row or its uid's list does not lead to it.
   void drop_endpoint(HostId h, std::uint32_t slot, FlowId flow);
-  /// Register/unregister a flow's two ends in their hosts' indices.
-  void index_flow(const FlowHot& f, FlowCold& c);
-  void unindex_flow(const FlowHot& f, const FlowCold& c);
-  /// Tear down the flow at dense row `row` of `b`: conntrack entry,
-  /// endpoints, port refs, SoA row. The single erase pass every teardown
-  /// path (close/GC/reset/identity reset) funnels through. Invalidates
-  /// the row.
+  /// Tear down the flow at dense row `row` of `b`: conntrack entry (if
+  /// any), endpoints, port refs, SoA row. The single erase pass every
+  /// teardown path (hook drop/close/GC/reset/identity reset) funnels
+  /// through. Invalidates the row.
   void destroy_flow(Bucket& b, std::size_t row);
   /// Tear down each flow in `dead` once, in id order (the order feeds
   /// the freed-port FIFO). Counts one touched entry per flow in `st`.
