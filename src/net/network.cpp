@@ -272,8 +272,8 @@ void Network::destroy_flow(Bucket& b, std::size_t row) {
   b.conntrack.erase(ConntrackKey{f.client_host, f.client_port,
                                  f.server_host, f.server_port,
                                  static_cast<int>(f.proto)});
-  // Client end first: the freed-port FIFO the digests observe sees its
-  // ports in that order.
+  // Client end first: when both ends' ports return to one host's pool,
+  // the freed-port FIFO hands them out again in that order.
   const FlowCold& c = b.table.cold(row);
   drop_endpoint(f.client_host, c.client_slot, f.id);
   drop_endpoint(f.server_host, c.server_slot, f.id);

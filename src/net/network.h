@@ -553,7 +553,8 @@ class Network {
     common::FlatMap<std::uint16_t, PortRow> ports;
     /// uid -> first node of that uid's endpoint list. Unordered:
     /// teardown sweeps collect, dedupe and sort flow ids before erasing
-    /// (the erase order feeds the freed-port FIFO the digests observe).
+    /// (the erase order decides which ports the freed-port FIFO hands to
+    /// later connects).
     common::FlatMap<Uid, std::uint32_t> uid_first;
     std::vector<Endpoint> endpoints;  ///< the slab; slots never move
     std::uint32_t free_slot = kNoSlot;  ///< head of the free-node chain
